@@ -9,10 +9,10 @@
      T4  cross-backend comparison     T5  clustering & pool ablations
      T6  extension operations (§6.8)  T7  multi-user experiments (§7)
 
-   plus a Bechamel micro-benchmark per table's kernel operation.
+   and ends with the expected-shape checks; any failing check exits 1.
 
    Usage: dune exec bench/main.exe [-- --levels 4,5 --reps 20 --quick
-   --no-bechamel --skip T3,T4] *)
+   --skip T3,T4] *)
 
 open Hyper_core
 module Mem = Hyper_memdb.Memdb
@@ -20,7 +20,6 @@ module Dsk = Hyper_diskdb.Diskdb
 module Rel = Hyper_reldb.Reldb
 module Table = Hyper_util.Table
 module Prng = Hyper_util.Prng
-module Obs = Hyper_obs.Obs
 
 module GenM = Generator.Make (Mem)
 module GenD = Generator.Make (Dsk)
@@ -33,7 +32,6 @@ module VerD = Verify.Make (Dsk)
 module VerR = Verify.Make (Rel)
 module OpsM = Ops.Make (Mem)
 module OpsD = Ops.Make (Dsk)
-module OpsR = Ops.Make (Rel)
 module ExtM = Extensions.Make (Mem)
 module MultiM = Multiuser.Make (Mem)
 
@@ -43,15 +41,11 @@ type cfg = {
   mutable levels : int list;
   mutable reps : int;
   mutable seed : int64;
-  mutable bechamel : bool;
   mutable skip : string list;
-  mutable json : string option;
-  mutable metrics : string option;
 }
 
 let cfg =
-  { levels = [ 4; 5; 6 ]; reps = 50; seed = 42L; bechamel = true; skip = [];
-    json = None; metrics = None }
+  { levels = [ 4; 5; 6 ]; reps = 50; seed = 42L; skip = [] }
 
 let parse_args () =
   let set_levels s =
@@ -63,14 +57,8 @@ let parse_args () =
       ("--seed", Arg.String (fun s -> cfg.seed <- Int64.of_string s), "S seed");
       ("--quick", Arg.Unit (fun () -> cfg.levels <- [ 4 ]; cfg.reps <- 10),
        " small run (level 4, 10 reps)");
-      ("--no-bechamel", Arg.Unit (fun () -> cfg.bechamel <- false),
-       " skip the Bechamel micro-benchmarks");
       ("--skip", Arg.String (fun s -> cfg.skip <- String.split_on_char ',' s),
-       "LIST skip experiment ids (e.g. T3,T7)");
-      ("--json", Arg.String (fun s -> cfg.json <- Some s),
-       "FILE write machine-readable results (see DESIGN.md §10)");
-      ("--metrics", Arg.String (fun s -> cfg.metrics <- Some s),
-       "FILE write a Prometheus-style metrics dump (see DESIGN.md §13)") ]
+       "LIST skip experiment ids (e.g. T3,T7)") ]
   in
   Arg.parse spec
     (fun s -> raise (Arg.Bad ("unexpected argument " ^ s)))
@@ -90,7 +78,7 @@ let tmp name =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".wal"; path ^ ".sum" ]
+    (Hyper_storage.Engine.files path)
 
 (* Memoized per-level instances; update operations in the protocol are
    self-inverse over an even rep count, so reuse across sections is
@@ -141,89 +129,6 @@ let protocol_config () = { Protocol.default_config with reps = cfg.reps }
 let shape_results : (string * bool * string) list ref = ref []
 
 let shape name ok detail = shape_results := (name, ok, detail) :: !shape_results
-
-(* --- machine-readable output (--json; format in DESIGN.md §10) --- *)
-
-module Json = struct
-  type t =
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec write buf = function
-    | Bool x -> Buffer.add_string buf (string_of_bool x)
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float f ->
-      (* NaN/infinity are not JSON; null keeps consumers honest. *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf x)
-        xs;
-      Buffer.add_char buf ']'
-    | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          write buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-  let to_file path t =
-    let buf = Buffer.create 65536 in
-    write buf t;
-    Buffer.add_char buf '\n';
-    let oc = open_out path in
-    output_string oc (Buffer.contents buf);
-    close_out oc
-end
-
-(* Per-op diskdb I/O counters captured during T3, for the JSON report:
-   (level, [(op label, counters over the cold+warm sequence)]). *)
-let t3_disk_io : (int * (string * Dsk.io_counters) list) list ref = ref []
-
-(* T5 traversal-prefetch ablation rows, for the table, the shape checks
-   and the JSON report. *)
-type prefetch_case = {
-  pc_prefetch : bool;
-  pc_cluster : bool;
-  pc_remote : bool;
-  pc_ms : float;
-  pc_io : Dsk.io_counters;
-}
-
-let t5_prefetch_results : prefetch_case list ref = ref []
 
 (* ====================== F1: schema verification ====================== *)
 
@@ -494,19 +399,7 @@ let t3 () =
       ProtoM.run_all ~config b layout);
   run "diskdb" (fun level config ->
       let b, layout, _ = disk_db level in
-      (* Same sequence as [run_all], with the I/O counters snapshotted
-         around each operation for the JSON report. *)
-      let per_op =
-        List.map
-          (fun id ->
-            Dsk.reset_io b;
-            let m = ProtoD.run_op ~config b layout id in
-            (m.Protocol.op, m, Dsk.io_counters b))
-          Protocol.op_ids
-      in
-      t3_disk_io :=
-        (level, List.map (fun (op, _, io) -> (op, io)) per_op) :: !t3_disk_io;
-      List.map (fun (_, m, _) -> m) per_op);
+      ProtoD.run_all ~config b layout);
   run "reldb" (fun level config ->
       let b, layout, _ = rel_db level in
       ProtoR.run_all ~config b layout);
@@ -833,7 +726,7 @@ let t5 () =
     Dsk.close b;
     path
   in
-  let run_prefetch ~cluster ~remote ~prefetch path =
+  let run_prefetch ~remote ~prefetch path =
     let b =
       Dsk.open_db
         { (Dsk.default_config ~path) with
@@ -858,10 +751,6 @@ let t5 () =
     Dsk.commit b;
     let io = Dsk.io_counters b in
     Dsk.close b;
-    t5_prefetch_results :=
-      { pc_prefetch = prefetch; pc_cluster = cluster; pc_remote = remote;
-        pc_ms = Hyper_util.Vclock.total_ms span; pc_io = io }
-      :: !t5_prefetch_results;
     (List.rev !results, io, Hyper_util.Vclock.total_ms span)
   in
   let tp =
@@ -883,10 +772,10 @@ let t5 () =
       List.iter
         (fun remote ->
           let res_off, io_off, ms_off =
-            run_prefetch ~cluster ~remote ~prefetch:false path
+            run_prefetch ~remote ~prefetch:false path
           in
           let res_on, io_on, ms_on =
-            run_prefetch ~cluster ~remote ~prefetch:true path
+            run_prefetch ~remote ~prefetch:true path
           in
           if res_on <> res_off then identical := false;
           let case =
@@ -1110,130 +999,10 @@ let t7 () =
     (Printf.sprintf "disjoint: %d aborts; hot: %d aborts" !occ_cold_aborts
        !occ_hot_aborts)
 
-(* ====================== Bechamel micro-benchmarks ====================== *)
-
-let micro () =
-  banner "MICRO" "Bechamel kernels (one per experiment family)";
-  let open Bechamel in
-  let b, layout, _ = mem_db (List.hd cfg.levels) in
-  let rng = Prng.create 3L in
-  let start = Layout.level_first_oid layout 3 in
-  let pager = Hyper_storage.Pager.in_memory () in
-  let pool = Hyper_storage.Buffer_pool.create pager ~capacity:256 in
-  ignore (Hyper_storage.Buffer_pool.allocate pool);
-  let fl = Hyper_storage.Freelist.attach pool ~head:0 in
-  let btree = Hyper_index.Btree.create pool fl in
-  let hash = Hyper_index.Hash_index.create pool fl in
-  for i = 1 to 10_000 do
-    Hyper_index.Btree.insert btree ~key:i ~value:i;
-    Hyper_index.Hash_index.insert hash ~key:i ~value:i
-  done;
-  let counter = ref 10_000 in
-  let spec = Hashtbl.hash in
-  ignore spec;
-  let node_spec () =
-    incr counter;
-    { Schema.oid = !counter; doc = 9; unique_id = !counter; ten = 1;
-      hundred = 50; million = 777; payload = Schema.P_internal }
-  in
-  let bitmap = Hyper_util.Bitmap.create ~width:400 ~height:400 in
-  let sample_text = Mem.text b (Layout.random_text layout rng) in
-  let tests =
-    Test.make_grouped ~name:"hypermodel"
-      [ Test.make ~name:"T3.01 nameLookup (memdb)"
-          (Staged.stage (fun () ->
-               ignore (OpsM.name_lookup b ~doc:1 ~uid:((!counter mod 700) + 1))));
-        Test.make ~name:"T3.10 closure1N (memdb)"
-          (Staged.stage (fun () -> ignore (OpsM.closure_1n_att_sum b ~start)));
-        Test.make ~name:"T1 node codec encode+decode"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hyper_diskdb.Codec.decode
-                    (Hyper_diskdb.Codec.encode
-                       (Hyper_diskdb.Codec.of_spec (node_spec ()))))));
-        Test.make ~name:"T2 create_node (memdb)"
-          (Staged.stage (fun () ->
-               Mem.begin_txn b;
-               Mem.create_node b (node_spec ());
-               Mem.commit b));
-        Test.make ~name:"T5 btree point lookup (10k entries)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hyper_index.Btree.find_first btree
-                    ~key:((!counter * 37 mod 10_000) + 1))));
-        Test.make ~name:"T5 hash point lookup (10k entries)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hyper_index.Hash_index.find_first hash
-                    ~key:((!counter * 37 mod 10_000) + 1))));
-        Test.make ~name:"T3.17 bitmap invert 50x50"
-          (Staged.stage (fun () ->
-               Hyper_util.Bitmap.invert_rect bitmap ~x:10 ~y:10 ~w:50 ~h:50));
-        Test.make ~name:"T3.16 text substitute"
-          (Staged.stage (fun () ->
-               ignore
-                 (Hyper_util.Text_gen.replace_first sample_text
-                    ~old_sub:"version1" ~new_sub:"version-2"))) ]
-  in
-  let benchmark_cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let raw = Benchmark.all benchmark_cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create ~title:"Per-call cost (ordinary least squares fit)"
-      [ ("kernel", Table.Left); ("ns/call", Table.Right) ]
-  in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> (name, est) :: acc
-        | Some _ | None -> (name, nan) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, est) -> Table.add_row t [ name; Printf.sprintf "%.0f" est ])
-    (List.sort compare rows);
-  Table.print t
-
 (* ====================== main ====================== *)
-
-(* The metrics registry snapshot, as a JSON object keyed by metric
-   name.  Histograms expand to {count, sum, buckets: [[le, cum], ...]}
-   (cumulative, Prometheus-style). *)
-let metrics_json () =
-  Json.Obj
-    (List.map
-       (function
-         | Obs.F_counter { name; value; _ } -> (name, Json.Int value)
-         | Obs.F_gauge { name; value; _ } -> (name, Json.Float value)
-         | Obs.F_histogram { name; count; sum; buckets; _ } ->
-           ( name,
-             Json.Obj
-               [ ("count", Json.Int count); ("sum", Json.Float sum);
-                 ("buckets",
-                  Json.List
-                    (List.filter_map
-                       (fun (le, cum) ->
-                         (* Drop empty leading buckets and the non-JSON
-                            infinite bound; [count] already carries the
-                            catch-all total. *)
-                         if cum = 0 || le = infinity then None
-                         else
-                           Some (Json.List [ Json.Float le; Json.Int cum ]))
-                       buckets)) ] ))
-       (Obs.families ()))
 
 let () =
   parse_args ();
-  (* The whole run reports through the metrics registry; the sink stays
-     enabled so the --json metrics section and --metrics dump cover
-     generation, the protocol and the ablations alike. *)
-  Obs.enable ();
   Printf.printf
     "The HyperModel Benchmark — reproduction harness\n\
      levels: %s   reps: %d   seed: %Ld\n"
@@ -1247,7 +1016,6 @@ let () =
     (fun (id, f) ->
       if skipped id then Printf.printf "\n[%s skipped]\n" id else f ())
     experiments;
-  if cfg.bechamel && not (skipped "MICRO") then micro ();
   (* Summary. *)
   banner "SUMMARY" "expected-shape checks";
   let results = List.rev !shape_results in
@@ -1259,94 +1027,6 @@ let () =
   Printf.printf "\n%d/%d shape checks passed\n"
     (List.length results - List.length failed)
     (List.length results);
-  (* Machine-readable report (written before the failure exit so CI can
-     archive partial results). *)
-  (match cfg.json with
-  | None -> ()
-  | Some path ->
-    let io_json (c : Dsk.io_counters) =
-      Json.Obj
-        [ ("pager_reads", Json.Int c.Dsk.pager_reads);
-          ("pager_writes", Json.Int c.Dsk.pager_writes);
-          ("pool_hits", Json.Int c.Dsk.pool_hits);
-          ("pool_misses", Json.Int c.Dsk.pool_misses);
-          ("pool_evictions", Json.Int c.Dsk.pool_evictions);
-          ("pool_prefetches", Json.Int c.Dsk.pool_prefetches);
-          ("round_trips", Json.Int c.Dsk.round_trips);
-          ("batched_round_trips", Json.Int c.Dsk.batched_round_trips);
-          ("server_hits", Json.Int c.Dsk.server_hits);
-          ("server_misses", Json.Int c.Dsk.server_misses);
-          ("wal_bytes", Json.Int c.Dsk.wal_bytes);
-          ("object_hits", Json.Int c.Dsk.object_hits);
-          ("object_misses", Json.Int c.Dsk.object_misses) ]
-    in
-    let operations =
-      List.concat_map
-        (fun (backend, level, ms) ->
-          let ios =
-            if backend = "diskdb" then
-              Option.value ~default:[] (List.assoc_opt level !t3_disk_io)
-            else []
-          in
-          List.map
-            (fun m ->
-              Json.Obj
-                ([ ("backend", Json.Str backend); ("level", Json.Int level);
-                   ("op", Json.Str m.Protocol.op);
-                   ("reps", Json.Int m.Protocol.reps);
-                   ("nodes_cold", Json.Int m.Protocol.nodes_cold);
-                   ("nodes_warm", Json.Int m.Protocol.nodes_warm);
-                   ("cold_ms", Json.Float m.Protocol.cold_ms);
-                   ("warm_ms", Json.Float m.Protocol.warm_ms);
-                   ("cold_ms_per_node",
-                    Json.Float (Protocol.cold_ms_per_node m));
-                   ("warm_ms_per_node",
-                    Json.Float (Protocol.warm_ms_per_node m)) ]
-                @
-                match List.assoc_opt m.Protocol.op ios with
-                | Some io -> [ ("io", io_json io) ]
-                | None -> []))
-            ms)
-        (List.rev !t3_results)
-    in
-    let prefetch_rows =
-      List.rev_map
-        (fun r ->
-          Json.Obj
-            [ ("prefetch", Json.Bool r.pc_prefetch);
-              ("clustered", Json.Bool r.pc_cluster);
-              ("remote", Json.Bool r.pc_remote); ("ms", Json.Float r.pc_ms);
-              ("io", io_json r.pc_io) ])
-        !t5_prefetch_results
-    in
-    let shapes =
-      List.map
-        (fun (name, ok, detail) ->
-          Json.Obj
-            [ ("name", Json.Str name); ("pass", Json.Bool ok);
-              ("detail", Json.Str detail) ])
-        results
-    in
-    Json.to_file path
-      (Json.Obj
-         [ ("meta",
-            Json.Obj
-              [ ("levels",
-                 Json.List (List.map (fun l -> Json.Int l) cfg.levels));
-                ("reps", Json.Int cfg.reps);
-                ("seed", Json.Str (Int64.to_string cfg.seed)) ]);
-           ("operations", Json.List operations);
-           ("prefetch_ablation", Json.List prefetch_rows);
-           ("shapes", Json.List shapes);
-           ("metrics", metrics_json ()) ]);
-    Printf.printf "wrote %s\n" path);
-  (match cfg.metrics with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Obs.to_prometheus ());
-    close_out oc;
-    Printf.printf "wrote %s\n" path);
   (* Clean up cached disk databases. *)
   Hashtbl.iter (fun _ (b, _, _) -> try Dsk.close b with _ -> ()) disk_cache;
   Hashtbl.iter (fun _ (b, _, _) -> try Rel.close b with _ -> ()) rel_cache;

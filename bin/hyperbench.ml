@@ -1,7 +1,7 @@
 (* hyperbench — command-line driver for the HyperModel benchmark.
 
-   Subcommands: generate, verify, run, query, multiuser, bench, diff,
-   gc, info.  `hyperbench SUBCOMMAND --help` documents each. *)
+   Subcommands: generate, verify, run, query, multiuser, gc, info.
+   `hyperbench SUBCOMMAND --help` documents each. *)
 
 open Hyper_core
 open Cmdliner
@@ -94,11 +94,11 @@ let layout_of ?fanout level =
 
 (* generate/run build the test database from scratch; a store left at
    the target path by a previous invocation would collide with
-   regeneration ("oid 1 already exists").  Remove it, WAL included. *)
+   regeneration ("oid 1 already exists").  Remove all of its files. *)
 let remove_store path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 let generate_into (type a) (module B : Backend.S with type t = a) (b : a)
     ~level ~seed ~cluster ~fanout =
@@ -241,8 +241,7 @@ let run_replicated ~level ~seed ~pool_pages ~cluster ~reps ~ops ~fanout
         (Protocol.cold_ms_per_node m)
         (Protocol.warm_ms_per_node m))
 
-(* JSON rendering of a measurement list, shared by `run --json` and
-   `bench`. *)
+(* JSON rendering of a measurement list for `run --json`. *)
 let measurements_json ms =
   let module J = Hyper_util.Sjson in
   J.List
@@ -580,398 +579,6 @@ let cmd_multiuser =
       const run $ level_arg $ seed_arg $ users_arg $ txns_arg $ hot_arg
       $ mode_arg $ readers_arg)
 
-(* --- bench --- *)
-
-(* The committed benchmark trajectory (BENCH_*.json): a fixed diskdb
-   workload measured two ways —
-
-   - per-operation cold/warm ms/node plus minor-heap words allocated
-     per node returned (the zero-copy read path shows up here), and
-   - a durable multi-user leg on a real file: committed txns against
-     real WAL fsyncs (group commit shows up here as fsyncs/commit < 1).
-
-   `--baseline` re-measures with the pre-group-commit, pre-zero-copy
-   behaviour ({!Hyper_storage.Storage_tuning.legacy_copies} plus no
-   group scheduler) so the trajectory can be regenerated from one
-   binary. *)
-
-let bench_group_config =
-  { Hyper_storage.Group_commit.max_batch = 8; max_hold_ns = 5e6 }
-
-let bench_operations ~path ~level ~seed ~reps ~ops =
-  let module D = Hyper_diskdb.Diskdb in
-  remove_store path;
-  let db = D.open_db (D.default_config ~path) in
-  Fun.protect
-    ~finally:(fun () -> D.close db)
-    (fun () ->
-      let layout, _ =
-        generate_into (module D) db ~level ~seed ~cluster:true ~fanout:5
-      in
-      let module P = Protocol.Make (D) in
-      let config = { Protocol.default_config with reps } in
-      List.map
-        (fun id ->
-          let w0 = Gc.minor_words () in
-          let m = P.run_op ~config db layout id in
-          let words = Gc.minor_words () -. w0 in
-          let nodes = m.Protocol.nodes_cold + m.Protocol.nodes_warm in
-          (m, if nodes = 0 then 0.0 else words /. float_of_int nodes))
-        ops)
-
-let bench_multiuser ~path ~level ~seed ~users ~txns ~baseline =
-  let module D = Hyper_diskdb.Diskdb in
-  let module E = Hyper_storage.Engine in
-  remove_store path;
-  let config =
-    { (D.default_config ~path) with
-      D.durable_sync = true;
-      group_commit = (if baseline then None else Some bench_group_config) }
-  in
-  let db = D.open_db config in
-  Fun.protect
-    ~finally:(fun () -> D.close db)
-    (fun () ->
-      let layout, _ =
-        generate_into (module D) db ~level ~seed ~cluster:true ~fanout:5
-      in
-      let engine = D.engine db in
-      let syncs0 = E.wal_sync_count engine in
-      (* Generation also committed through the scheduler — subtract its
-         groups so the leg reports the multiuser run alone. *)
-      let groups0 = E.group_commit_stats engine in
-      (* The group-commit seam: commit point inside the db mutex, the
-         durability wait outside it, so concurrent committers coalesce
-         into one fsync barrier. *)
-      let commit =
-        if baseline then None
-        else
-          Some
-            (fun () ->
-              let tk = E.commit_ticket engine in
-              fun () -> E.await_durable engine tk)
-      in
-      let module M = Multiuser.Make (D) in
-      let r =
-        M.run ?commit db layout ~mode:Multiuser.Two_phase_locking ~users
-          ~txns_per_user:txns ~hot_fraction:0.0 ~seed
-      in
-      let fsyncs = E.wal_sync_count engine - syncs0 in
-      let groups =
-        match (E.group_commit_stats engine, groups0) with
-        | Some (g, m), Some (g0, m0) -> Some (g - g0, m - m0)
-        | g, _ -> g
-      in
-      (r, fsyncs, groups))
-
-(* The T7 concurrency-control matrix: the same memdb update workload
-   under 2PL, OCC and MVCC, each with and without concurrent
-   whole-structure readers.  The interesting cell is writers-under-
-   readers: 2PL writers stall on the sweep's shared locks, MVCC writers
-   never see the (lock-free, snapshot-pinned) readers at all. *)
-let bench_t7_matrix ~level ~seed ~users ~txns =
-  let module B = Hyper_memdb.Memdb in
-  let module M = Multiuser.Make (B) in
-  List.concat_map
-    (fun mode ->
-      List.map
-        (fun readers ->
-          let b = B.create () in
-          let module G = Generator.Make (B) in
-          let layout, _ = G.generate b ~doc:1 ~leaf_level:level ~seed in
-          M.run ~readers b layout ~mode ~users ~txns_per_user:txns
-            ~hot_fraction:0.5 ~seed)
-        [ 0; 2 ])
-    [ Multiuser.Two_phase_locking; Multiuser.Optimistic; Multiuser.Mvcc ]
-
-let bench_json ~mode ~level ~seed ~reps ~users ~txns ~op_results
-    ~(mu : Multiuser.result) ~fsyncs ~groups ~matrix =
-  let module J = Hyper_util.Sjson in
-  let ops_json =
-    J.List
-      (List.map
-         (fun (m, alloc_per_node) ->
-           J.Obj
-             [ ("op", J.Str m.Protocol.op);
-               ("cold_ms_per_node", J.Num (Protocol.cold_ms_per_node m));
-               ("warm_ms_per_node", J.Num (Protocol.warm_ms_per_node m));
-               ("alloc_words_per_node", J.Num alloc_per_node) ])
-         op_results)
-  in
-  let group_fields =
-    match groups with
-    | None -> [ ("group_commit", J.Bool false) ]
-    | Some (g, members) ->
-      [ ("group_commit", J.Bool true);
-        ("groups", J.Num (float_of_int g));
-        ("group_members", J.Num (float_of_int members));
-        ( "mean_group_size",
-          J.Num
-            (if g = 0 then 0.0 else float_of_int members /. float_of_int g) )
-      ]
-  in
-  J.Obj
-    [ ( "meta",
-        J.Obj
-          [ ("schema", J.Num 1.0);
-            ("mode", J.Str mode);
-            ("backend", J.Str "diskdb");
-            ("level", J.Num (float_of_int level));
-            ("reps", J.Num (float_of_int reps));
-            ("seed", J.Num (Int64.to_float seed));
-            ("users", J.Num (float_of_int users));
-            ("txns_per_user", J.Num (float_of_int txns)) ] );
-      ("operations", ops_json);
-      ( "multiuser",
-        J.Obj
-          ([ ("mode", J.Str (Multiuser.mode_to_string mu.Multiuser.mode));
-             ("committed", J.Num (float_of_int mu.Multiuser.committed));
-             ("aborted", J.Num (float_of_int mu.Multiuser.aborted));
-             ("wal_fsyncs", J.Num (float_of_int fsyncs));
-             ( "fsyncs_per_commit",
-               J.Num
-                 (if mu.Multiuser.committed = 0 then 0.0
-                  else float_of_int fsyncs /. float_of_int mu.Multiuser.committed)
-             );
-             ("throughput_tps", J.Num mu.Multiuser.throughput_tps) ]
-          @ group_fields) );
-      ( "t7_matrix",
-        J.List
-          (List.map
-             (fun (r : Multiuser.result) ->
-               J.Obj
-                 [ ( "cc",
-                     J.Str
-                       (Printf.sprintf "%s/r%d"
-                          (Multiuser.mode_to_string r.Multiuser.mode)
-                          r.Multiuser.readers) );
-                   ("committed", J.Num (float_of_int r.Multiuser.committed));
-                   ("aborted", J.Num (float_of_int r.Multiuser.aborted));
-                   ("readers", J.Num (float_of_int r.Multiuser.readers));
-                   ( "reader_sweeps",
-                     J.Num (float_of_int r.Multiuser.reader_sweeps) );
-                   ( "reader_aborts",
-                     J.Num (float_of_int r.Multiuser.reader_aborts) );
-                   ("throughput_tps", J.Num r.Multiuser.throughput_tps) ])
-             matrix) ) ]
-
-let cmd_bench =
-  let run level seed reps ops users txns baseline json =
-    let module Tuning = Hyper_storage.Storage_tuning in
-    Tuning.legacy_copies := baseline;
-    Fun.protect
-      ~finally:(fun () -> Tuning.legacy_copies := false)
-      (fun () ->
-        let path = Filename.temp_file "hyperbench_bench" ".db" in
-        Fun.protect
-          ~finally:(fun () -> remove_store path)
-          (fun () ->
-            let ops = if ops = [] then [ "01"; "05A"; "10"; "16" ] else ops in
-            let op_results = bench_operations ~path ~level ~seed ~reps ~ops in
-            let mu, fsyncs, groups =
-              bench_multiuser ~path ~level ~seed ~users ~txns ~baseline
-            in
-            let matrix = bench_t7_matrix ~level ~seed ~users:4 ~txns:25 in
-            let mode = if baseline then "baseline" else "current" in
-            let doc =
-              bench_json ~mode ~level ~seed ~reps ~users ~txns ~op_results ~mu
-                ~fsyncs ~groups ~matrix
-            in
-            let s = Hyper_util.Sjson.to_string doc in
-            (match json with
-            | None -> print_string s
-            | Some file ->
-              write_file file s;
-              Printf.printf "bench (%s) -> %s\n" mode file);
-            Printf.printf
-              "multiuser: committed=%d fsyncs=%d (%.3f/commit)%s\n"
-              mu.Multiuser.committed fsyncs
-              (if mu.Multiuser.committed = 0 then 0.0
-               else float_of_int fsyncs /. float_of_int mu.Multiuser.committed)
-              (match groups with
-              | None -> ""
-              | Some (g, members) ->
-                Printf.sprintf " groups=%d members=%d" g members)))
-  in
-  let ops_arg =
-    Arg.(value & opt (list string) [] & info [ "ops" ] ~docv:"IDS"
-           ~doc:"Op ids to measure; default 01,05A,10,16.")
-  in
-  let users_arg =
-    Arg.(value & opt int 8 & info [ "users" ] ~docv:"N"
-           ~doc:"User threads for the durable multiuser leg.")
-  in
-  let txns_arg =
-    Arg.(value & opt int 25 & info [ "txns" ] ~docv:"N"
-           ~doc:"Transactions per user for the durable multiuser leg.")
-  in
-  let baseline_arg =
-    Arg.(value & flag & info [ "baseline" ]
-           ~doc:"Measure with legacy copies and without group commit — \
-                 the pre-optimisation reference point of the committed \
-                 trajectory.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the result to $(docv) instead of stdout.")
-  in
-  let reps_small =
-    Arg.(value & opt int 5 & info [ "reps" ] ~docv:"N"
-           ~doc:"Repetitions per operation sequence.")
-  in
-  let level_small =
-    Arg.(value & opt int 3 & info [ "l"; "level" ] ~docv:"LEVEL"
-           ~doc:"Leaf level of the test database.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Measure the committed benchmark trajectory (operations + durable \
-          multiuser leg) and emit JSON for $(b,hyperbench diff).")
-    Term.(
-      const run $ level_small $ seed_arg $ reps_small $ ops_arg $ users_arg
-      $ txns_arg $ baseline_arg $ json_arg)
-
-(* --- diff --- *)
-
-(* The diff is generic over metrics: every numeric field shared by a
-   matched pair of objects is compared.  Polarity comes from the field
-   name — throughput-style metrics regress when they drop, everything
-   else (latencies, per-node costs, error counts) when it rises.
-   Identity, configuration and raw-count fields are not metrics. *)
-let diff_skip_fields =
-  [ "op"; "clients"; "requests"; "wall_s"; "schema"; "level"; "reps";
-    "seed"; "users"; "txns_per_user"; "fanout"; "write_fraction";
-    "think_ms"; "committed"; "aborted"; "groups"; "group_members";
-    "mean_group_size"; "wal_fsyncs"; "readers"; "reader_sweeps";
-    "reader_aborts" ]
-
-let diff_higher_is_better name =
-  let prefixed p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  let suffixed s =
-    let ln = String.length name and ls = String.length s in
-    ln >= ls && String.sub name (ln - ls) ls = s
-  in
-  prefixed "throughput" || suffixed "_rps" || suffixed "_tps"
-
-let cmd_diff =
-  let run file_a file_b threshold warn_only =
-    let module J = Hyper_util.Sjson in
-    let load f =
-      let ic = open_in f in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      try J.of_string s
-      with J.Parse_error msg -> failwith (Printf.sprintf "%s: %s" f msg)
-    in
-    let a = load file_a and b = load file_b in
-    let regressions = ref 0 in
-    let compare_metric ~what ~higher_better old_v new_v =
-      match (old_v, new_v) with
-      | Some o, Some n ->
-        let delta = if o = 0.0 then 0.0 else (n -. o) /. o *. 100.0 in
-        let regressed =
-          o > 0.0
-          && (if higher_better then n < o *. (1.0 -. threshold)
-              else n > o *. (1.0 +. threshold))
-        in
-        if regressed then incr regressions;
-        Printf.printf "%-44s %12.4f -> %12.4f  %+7.1f%%%s\n" what o n delta
-          (if regressed then "  REGRESSION" else "")
-      | _ -> Printf.printf "%-44s (missing; skipped)\n" what
-    in
-    (* Numeric fields of a matched pair that count as metrics. *)
-    let metric_fields obj =
-      match obj with
-      | J.Obj fields ->
-        List.filter_map
-          (fun (k, v) ->
-            match J.to_num v with
-            | Some f when not (List.mem k diff_skip_fields) -> Some (k, f)
-            | _ -> None)
-          fields
-      | _ -> []
-    in
-    let compare_objects ~label obj_a obj_b =
-      match obj_b with
-      | None -> Printf.printf "%-44s (missing in NEW; skipped)\n" label
-      | Some obj_b ->
-        List.iter
-          (fun (k, o) ->
-            compare_metric
-              ~what:(Printf.sprintf "%s %s" label k)
-              ~higher_better:(diff_higher_is_better k)
-              (Some o)
-              (Option.bind (J.member k obj_b) J.to_num))
-          (metric_fields obj_a)
-    in
-    (* A section is a list of objects matched by an identity field.
-       Both `hyperbench bench` ("operations" keyed by "op") and
-       hyperload ("points" keyed by "clients") fit the shape. *)
-    let section ~name ~key =
-      let rows doc =
-        match Option.bind (J.member name doc) J.to_list with
-        | Some l -> l
-        | None -> []
-      in
-      let ident row =
-        match J.member key row with
-        | Some (J.Str s) -> Some s
-        | Some (J.Num f) -> Some (Printf.sprintf "%g" f)
-        | _ -> None
-      in
-      let find id = List.find_opt (fun r -> ident r = Some id) (rows b) in
-      List.iter
-        (fun row_a ->
-          match ident row_a with
-          | Some id ->
-            compare_objects
-              ~label:(Printf.sprintf "%s %s" name id)
-              row_a (find id)
-          | None -> ())
-        (rows a)
-    in
-    section ~name:"operations" ~key:"op";
-    section ~name:"points" ~key:"clients";
-    section ~name:"t7_matrix" ~key:"cc";
-    (match J.member "multiuser" a with
-    | Some mu_a ->
-      compare_objects ~label:"multiuser" mu_a (J.member "multiuser" b)
-    | None -> ());
-    if !regressions > 0 then begin
-      Printf.printf "%d metric(s) regressed more than %.0f%%\n" !regressions
-        (threshold *. 100.0);
-      if not warn_only then exit 1
-    end
-    else print_endline "no regressions"
-  in
-  let file_a =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json")
-  in
-  let file_b =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json")
-  in
-  let threshold_arg =
-    Arg.(value & opt float 0.10 & info [ "threshold" ] ~docv:"F"
-           ~doc:"Relative regression tolerance (0.10 = 10%).")
-  in
-  let warn_arg =
-    Arg.(value & flag & info [ "warn-only" ]
-           ~doc:"Report regressions but exit 0 (CI on noisy runners).")
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two benchmark JSON files ($(b,hyperbench bench) or \
-          $(b,hyperload)); every shared numeric metric is compared, \
-          throughput-style fields as higher-is-better.  Exit non-zero when \
-          any metric regresses past the threshold.")
-    Term.(const run $ file_a $ file_b $ threshold_arg $ warn_arg)
-
 (* --- gc --- *)
 
 let cmd_gc =
@@ -1030,4 +637,4 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "hyperbench" ~doc)
           [ cmd_generate; cmd_verify; cmd_run; cmd_query; cmd_multiuser;
-            cmd_bench; cmd_diff; cmd_gc; cmd_info ]))
+            cmd_gc; cmd_info ]))

@@ -239,7 +239,7 @@ let self_serve ~backend ~level ~fanout ~seed ~sock =
     let path = Filename.temp_file "hyperload" ".db" in
     List.iter
       (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ path; path ^ ".wal" ];
+      (Hyper_storage.Engine.files path);
     let b = D.open_db (D.default_config ~path) in
     let module G = Generator.Make (D) in
     let layout, _ = G.generate ~fanout b ~doc:1 ~leaf_level:level ~seed in
@@ -257,7 +257,7 @@ let self_serve ~backend ~level ~fanout ~seed ~sock =
           D.close b;
           List.iter
             (fun p -> if Sys.file_exists p then Sys.remove p)
-            [ path; path ^ ".wal" ]);
+            (Hyper_storage.Engine.files path));
     }
   | s -> failwith (Printf.sprintf "unknown backend %S (memdb or diskdb)" s)
 

@@ -30,7 +30,7 @@ let sections =
 let () =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ db_path; db_path ^ ".wal" ];
+    (Hyper_storage.Engine.files db_path);
   let db = B.open_db (B.default_config ~path:db_path) in
 
   (* Build: one document (oid 1) with one chapter (oid 2) holding four
@@ -96,4 +96,4 @@ let () =
     (B.node_count db2 ~doc:7)
     (String.length (B.text db2 4) > 0);
   B.close db2;
-  List.iter Sys.remove [ db_path; db_path ^ ".wal" ]
+  List.iter Sys.remove (Hyper_storage.Engine.files db_path)

@@ -16,7 +16,7 @@ let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
 let clean path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 let () =
   let rel_path = tmp "graph_rel.db" and disk_path = tmp "graph_disk.db" in

@@ -21,7 +21,7 @@ type remote = Hyper_net.Channel.profile = {
 }
 
 type config = {
-  path : string; (** data file; the WAL lives at [path ^ ".wal"] *)
+  path : string; (** data file; {!Hyper_storage.Engine.files} lists the store's files *)
   pool_pages : int; (** client buffer-pool capacity *)
   durable_sync : bool; (** fsync the WAL at commit *)
   group_commit : Hyper_storage.Group_commit.config option;

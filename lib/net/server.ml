@@ -392,7 +392,11 @@ let drain ?(grace_s = 5.0) t =
   locked t (fun () ->
       t.drain_grace <- grace_s;
       t.draining <- true);
-  join_all t
+  join_all t;
+  match t.address with
+  | Netaddr.Unix_sock path -> (
+    try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Netaddr.Tcp _ -> ()
 
 let kill t =
   locked t (fun () -> t.killed <- true);

@@ -61,7 +61,8 @@ val drain : ?grace_s:float -> t -> unit
 (** Graceful shutdown: stop accepting, finish in-flight requests,
     reply, close.  Blocks until every session thread has exited;
     sessions still in a transaction after [grace_s] (default 5s) are
-    aborted and closed. *)
+    aborted and closed.  A Unix socket file the server bound is then
+    removed. *)
 
 val kill : t -> unit
 (** Abrupt shutdown: close every socket now, send nothing, leave the

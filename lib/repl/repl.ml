@@ -178,14 +178,14 @@ module Replica = struct
     Pager.close t.pager;
     Wal.close t.rlog;
     t.vfs.Vfs.remove t.path;
-    if t.vfs.Vfs.exists (t.path ^ ".sum") then
-      t.vfs.Vfs.remove (t.path ^ ".sum");
+    if t.vfs.Vfs.exists (Pager.sum_path t.path) then
+      t.vfs.Vfs.remove (Pager.sum_path t.path);
     t.vfs.Vfs.remove (rlog_path t.path);
     List.iter
       (fun (tag, data) ->
         match tag with
         | "data" -> write_file t.vfs t.path data
-        | "sum" -> write_file t.vfs (t.path ^ ".sum") data
+        | "sum" -> write_file t.vfs (Pager.sum_path t.path) data
         | _ -> ())
       files;
     t.pager <- Pager.create ~vfs:t.vfs t.path;
@@ -401,7 +401,7 @@ module Cluster = struct
 
   let snapshot_files t =
     [ ("data", read_file t.vfs t.path);
-      ("sum", read_file t.vfs (t.path ^ ".sum")) ]
+      ("sum", read_file t.vfs (Pager.sum_path t.path)) ]
 
   let retain t lsn bytes =
     t.retained <- (lsn, bytes) :: t.retained;

@@ -145,14 +145,11 @@ let unshare f =
 (* The before-image is the frame content prior to the first write in the
    current txn window.  The hook receives the LIVE buffer — it must
    serialize or copy what it retains before returning, because the
-   caller mutates the page next.  [legacy_copies] restores the historic
-   defensive copy for baseline benchmarking. *)
+   caller mutates the page next. *)
 let mark_dirty t f =
   if not (Hashtbl.mem t.first_dirty_seen f.page_id) then begin
     Hashtbl.add t.first_dirty_seen f.page_id ();
-    if !Storage_tuning.legacy_copies then
-      t.on_first_dirty f.page_id (Bytes.copy f.data)
-    else t.on_first_dirty f.page_id f.data
+    t.on_first_dirty f.page_id f.data
   end;
   unshare f;
   f.dirty <- true
@@ -245,8 +242,7 @@ let allocate t =
   Hashtbl.add t.frames page_id f;
   if not (Hashtbl.mem t.first_dirty_seen page_id) then begin
     Hashtbl.add t.first_dirty_seen page_id ();
-    if !Storage_tuning.legacy_copies then t.on_first_dirty page_id (Page.alloc ())
-    else t.on_first_dirty page_id (Lazy.force zero_page)
+    t.on_first_dirty page_id (Lazy.force zero_page)
   end;
   page_id
 
@@ -287,10 +283,7 @@ let take_dirty_set t =
   let dirty =
     Hashtbl.fold
       (fun id f acc ->
-        if f.dirty then
-          (id, if !Storage_tuning.legacy_copies then Bytes.copy f.data else f.data)
-          :: acc
-        else acc)
+        if f.dirty then (id, f.data) :: acc else acc)
       t.frames []
   in
   Hashtbl.reset t.first_dirty_seen;

@@ -44,6 +44,9 @@ let is_wal_full = function
     true
   | _ -> false
 
+let wal_path path = path ^ ".wal"
+let files path = [ path; Pager.sum_path path; wal_path path ]
+
 let open_ ?(vfs = Vfs.real) ~path ~pool_pages ?(durable_sync = false)
     ?group_commit ?(checkpoint_wal_bytes = 64 * 1024 * 1024) () =
   (* One retry policy for every storage path: transient faults are
@@ -52,7 +55,7 @@ let open_ ?(vfs = Vfs.real) ~path ~pool_pages ?(durable_sync = false)
      operation counts once; absorbed faults surface only as
      hyper_vfs_retries_total. *)
   let vfs = Vfs.observed (Vfs.retrying vfs) in
-  let wal_path = path ^ ".wal" in
+  let wal_path = wal_path path in
   let pager = Pager.create ~vfs path in
   let recovery_report =
     if Recovery.needs_recovery ~vfs wal_path then begin
@@ -170,7 +173,7 @@ type ticket = { txn_id : int; wait : unit -> unit }
    the before/after images were issued to the log first, so any
    persisted prefix that includes a page write also includes the undo
    records recovery needs to roll an unacked transaction back. *)
-let commit_ticket t =
+let take_ticket t =
   let txn = current_txn t in
   t.on_save ();
   let dirty = Buffer_pool.take_dirty_set t.pool in
@@ -203,6 +206,13 @@ let commit_ticket t =
   in
   { txn_id = txn.id; wait }
 
+(* The split never runs the commit hook, so on a replicated engine it
+   would ack commits that were never shipped. *)
+let commit_ticket t =
+  if Option.is_some t.commit_hook then
+    invalid_arg "Engine.commit_ticket: engine has a commit hook; use commit";
+  take_ticket t
+
 let await_durable t tk =
   try tk.wait ()
   with e ->
@@ -214,7 +224,7 @@ let await_durable t tk =
     raise e
 
 let commit t =
-  let tk = commit_ticket t in
+  let tk = take_ticket t in
   await_durable t tk;
   (* The transaction is locally durable by this point; the hook (e.g.
      replication shipping, which may raise to signal quorum loss) runs

@@ -27,6 +27,11 @@
 
 type t
 
+val files : string -> string list
+(** Every file of the store whose data file is at the given path: the
+    data file, its checksum sidecar ({!Pager.sum_path}) and the WAL.
+    Remove all of them to delete a store. *)
+
 val open_ :
   ?vfs:Vfs.t ->
   path:string ->
@@ -37,9 +42,9 @@ val open_ :
   unit ->
   t
 (** Defaults: {!Vfs.real}, no fsync, no group commit, 64 MiB checkpoint
-    threshold.  The WAL lives at [path ^ ".wal"], page checksums at
-    [path ^ ".sum"].  [group_commit] batches the per-commit fsyncs of
-    concurrent committers through a {!Group_commit} scheduler; it only
+    threshold.  The store's files are {!files} [path].  [group_commit]
+    batches the per-commit fsyncs of concurrent committers through a
+    {!Group_commit} scheduler; it only
     takes effect together with [durable_sync] (without it there is no
     fsync to batch) and changes nothing for a single-threaded caller
     except that the fsync happens in {!await_durable} (inside {!commit}
@@ -95,7 +100,10 @@ val commit_ticket : t -> ticket
     serializes engine access through a lock can take the ticket inside
     the lock and {!await_durable} outside it, which is what lets
     concurrent committers share one fsync.  A transaction must not be
-    acked before its ticket is awaited. *)
+    acked before its ticket is awaited.
+    @raise Invalid_argument on an engine with a commit hook
+    ({!set_commit_hook}), before touching the transaction: the split
+    never runs the hook, so use {!commit} there. *)
 
 val await_durable : t -> ticket -> unit
 (** Block until the ticket's commit record is covered by a durability
@@ -104,8 +112,8 @@ val await_durable : t -> ticket -> unit
     down, so there is nothing to roll back, and whether the commit
     record survives a restart is unknown — the caller must not ack.
     Unlike {!commit}, the split never runs the commit hook or the
-    checkpoint check; use the split only on engines without a
-    replication hook (the multiuser harness, benchmarks). *)
+    checkpoint check, which is why {!commit_ticket} refuses an engine
+    with a replication hook. *)
 
 val group_commit_stats : t -> (int * int) option
 (** [(groups, members)] from the {!Group_commit} scheduler, or [None]

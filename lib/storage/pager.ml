@@ -28,6 +28,8 @@ let sum_width = 4
 
 let page_crc buf = match Page.checksum buf with 0 -> 1 | c -> c
 
+let sum_path path = path ^ ".sum"
+
 let create ?(vfs = Vfs.real) path =
   let data = vfs.Vfs.open_rw path in
   let len = data.Vfs.size () in
@@ -36,7 +38,7 @@ let create ?(vfs = Vfs.real) path =
      allocation never committed, so drop it.  WAL replay re-extends the
      file if the page is mentioned by a committed transaction. *)
   if len mod Page.size <> 0 then data.Vfs.truncate (count * Page.size);
-  let sums = vfs.Vfs.open_rw (path ^ ".sum") in
+  let sums = vfs.Vfs.open_rw (sum_path path) in
   (* Discard checksums beyond the data (stale sidecar, fresh file). *)
   if sums.Vfs.size () > count * sum_width then
     sums.Vfs.truncate (count * sum_width);
@@ -112,9 +114,7 @@ let read_view t id =
     data.Vfs.pread ~buf ~off:(id * Page.size);
     verify_sum ~data ~sums id buf;
     (buf, true)
-  | Memory m ->
-    if !Storage_tuning.legacy_copies then (Bytes.copy m.pages.(id), true)
-    else (m.pages.(id), false)
+  | Memory m -> (m.pages.(id), false)
 
 let read t id =
   let buf, owned = read_view t id in
@@ -152,12 +152,7 @@ let read_many_views t ids =
       in
       verify ids bufs sum_bufs;
       List.map (fun buf -> (buf, true)) bufs
-    | Memory m ->
-      List.map
-        (fun id ->
-          if !Storage_tuning.legacy_copies then (Bytes.copy m.pages.(id), true)
-          else (m.pages.(id), false))
-        ids
+    | Memory m -> List.map (fun id -> (m.pages.(id), false)) ids
   end
 
 let read_many t ids =

@@ -22,9 +22,12 @@ type t
 
 type stats = { mutable reads : int; mutable writes : int; mutable allocs : int }
 
+val sum_path : string -> string
+(** The checksum sidecar of the data file at the given path. *)
+
 val create : ?vfs:Vfs.t -> string -> t
-(** [create path] opens (or creates) the file at [path] (and its [.sum]
-    sidecar) through [vfs] (default {!Vfs.real}).  A partial page at the
+(** [create path] opens (or creates) the file at [path] (and its
+    {!sum_path} sidecar) through [vfs] (default {!Vfs.real}).  A partial page at the
     tail of the file — a torn append left by a crash — is truncated away;
     WAL replay re-extends the file if a committed transaction mentions
     the page. *)
@@ -46,8 +49,7 @@ val read : t -> int -> bytes
 val read_view : t -> int -> bytes * bool
 (** Zero-copy read: the page contents plus an ownership flag.  [(buf,
     true)] — [buf] is freshly allocated and the caller may keep and
-    mutate it (File backing, or any backing with
-    {!Storage_tuning.legacy_copies} set).  [(buf, false)] — [buf]
+    mutate it (File backing).  [(buf, false)] — [buf]
     aliases the pager's in-memory backing store: treat it as read-only,
     copy before mutating, and do not retain it past the next {!write}
     or {!allocate} of the same page (the store then swaps the buffer

@@ -162,27 +162,18 @@ let lsn t = t.next_lsn
 let set_on_append t hook = t.on_append <- hook
 
 let append t e =
-  let size =
-    if !Storage_tuning.legacy_copies then begin
-      let b = encode_entry e in
-      Buffer.add_bytes t.buf b;
-      Bytes.length b
-    end
-    else begin
-      (* Encode straight into the append buffer: one blit of the payload
-         instead of encode-into-scratch plus a second whole-record copy.
-         Byte-for-byte identical to [encode_entry]. *)
-      let payload = payload_of e in
-      let plen = Bytes.length payload in
-      let hdr = encode_header e plen in
-      Buffer.add_bytes t.buf hdr;
-      Buffer.add_bytes t.buf payload;
-      let crc = Bytes.create 4 in
-      Page.set_u32 crc 0 (checksum payload lxor checksum hdr);
-      Buffer.add_bytes t.buf crc;
-      header_bytes + plen + 4
-    end
-  in
+  (* Encode straight into the append buffer: one blit of the payload
+     instead of encode-into-scratch plus a second whole-record copy.
+     Byte-for-byte identical to [encode_entry]. *)
+  let payload = payload_of e in
+  let plen = Bytes.length payload in
+  let hdr = encode_header e plen in
+  Buffer.add_bytes t.buf hdr;
+  Buffer.add_bytes t.buf payload;
+  let crc = Bytes.create 4 in
+  Page.set_u32 crc 0 (checksum payload lxor checksum hdr);
+  Buffer.add_bytes t.buf crc;
+  let size = header_bytes + plen + 4 in
   Obs.Counter.incr m_appends;
   Obs.Counter.add m_append_bytes size;
   let lsn = t.next_lsn in

@@ -72,164 +72,3 @@ let to_string v =
   print buf v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-(* --- parsing --- *)
-
-exception Parse_error of string
-
-type cursor = { s : string; mutable pos : int }
-
-let error c msg =
-  raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
-
-let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
-
-let skip_ws c =
-  while
-    c.pos < String.length c.s
-    && match c.s.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    c.pos <- c.pos + 1
-  done
-
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | _ -> error c (Printf.sprintf "expected %C" ch)
-
-let lit c word v =
-  if
-    c.pos + String.length word <= String.length c.s
-    && String.sub c.s c.pos (String.length word) = word
-  then begin
-    c.pos <- c.pos + String.length word;
-    v
-  end
-  else error c (Printf.sprintf "expected %s" word)
-
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> error c "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' ->
-      c.pos <- c.pos + 1;
-      (match peek c with
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some '"' -> Buffer.add_char buf '"'
-      | Some '\\' -> Buffer.add_char buf '\\'
-      | Some '/' -> Buffer.add_char buf '/'
-      | Some 'u' ->
-        if c.pos + 4 >= String.length c.s then error c "bad \\u escape";
-        let hex = String.sub c.s (c.pos + 1) 4 in
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with Failure _ -> error c "bad \\u escape"
-        in
-        (* ASCII only; anything else round-trips as '?' — the bench
-           files this parser exists for never contain non-ASCII. *)
-        Buffer.add_char buf (if code < 0x80 then Char.chr code else '?');
-        c.pos <- c.pos + 4
-      | _ -> error c "bad escape");
-      c.pos <- c.pos + 1;
-      go ()
-    | Some ch ->
-      Buffer.add_char buf ch;
-      c.pos <- c.pos + 1;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number c =
-  let start = c.pos in
-  let is_num_char ch =
-    match ch with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while c.pos < String.length c.s && is_num_char c.s.[c.pos] do
-    c.pos <- c.pos + 1
-  done;
-  match float_of_string_opt (String.sub c.s start (c.pos - start)) with
-  | Some f -> f
-  | None -> error c "bad number"
-
-let rec parse_value c =
-  skip_ws c;
-  match peek c with
-  | None -> error c "unexpected end of input"
-  | Some '"' -> Str (parse_string c)
-  | Some 't' -> lit c "true" (Bool true)
-  | Some 'f' -> lit c "false" (Bool false)
-  | Some 'n' -> lit c "null" Null
-  | Some '[' ->
-    c.pos <- c.pos + 1;
-    skip_ws c;
-    if peek c = Some ']' then begin
-      c.pos <- c.pos + 1;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          c.pos <- c.pos + 1;
-          items (v :: acc)
-        | Some ']' ->
-          c.pos <- c.pos + 1;
-          List.rev (v :: acc)
-        | _ -> error c "expected ',' or ']'"
-      in
-      List (items [])
-    end
-  | Some '{' ->
-    c.pos <- c.pos + 1;
-    skip_ws c;
-    if peek c = Some '}' then begin
-      c.pos <- c.pos + 1;
-      Obj []
-    end
-    else begin
-      let rec fields acc =
-        skip_ws c;
-        let k = parse_string c in
-        skip_ws c;
-        expect c ':';
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          c.pos <- c.pos + 1;
-          fields ((k, v) :: acc)
-        | Some '}' ->
-          c.pos <- c.pos + 1;
-          List.rev ((k, v) :: acc)
-        | _ -> error c "expected ',' or '}'"
-      in
-      Obj (fields [])
-    end
-  | Some _ -> Num (parse_number c)
-
-let of_string s =
-  let c = { s; pos = 0 } in
-  let v = parse_value c in
-  skip_ws c;
-  if c.pos <> String.length s then error c "trailing garbage";
-  v
-
-(* --- accessors --- *)
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
-let to_num = function Num f -> Some f | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_list = function List l -> Some l | _ -> None

@@ -1,8 +1,8 @@
-(** Minimal JSON: just enough to write and read the committed benchmark
-    trajectory files ([BENCH_*.json]) without an external dependency.
+(** Minimal JSON writer for the tools' machine-readable reports
+    ([hyperbench run --json], [hyperload --json], [hyperlint --json])
+    without an external dependency.
 
-    Numbers are floats throughout (the usual JSON compromise); strings
-    are ASCII — [\u] escapes outside ASCII parse as ['?']. *)
+    Numbers are floats throughout (the usual JSON compromise). *)
 
 type t =
   | Null
@@ -14,16 +14,4 @@ type t =
 
 val to_string : t -> string
 (** Pretty-printed with two-space indentation and a trailing newline —
-    stable output, so committed files diff cleanly. *)
-
-exception Parse_error of string
-
-val of_string : string -> t
-(** @raise Parse_error on malformed input. *)
-
-val member : string -> t -> t option
-(** Field lookup; [None] on a non-object or a missing key. *)
-
-val to_num : t -> float option
-val to_str : t -> string option
-val to_list : t -> t list option
+    stable output, so two reports diff cleanly. *)

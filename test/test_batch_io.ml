@@ -56,7 +56,7 @@ let test_read_many_file () =
       Pager.close pager;
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".sum" ])
+        (Engine.files path))
     (fun () ->
       let pages = fill_pager pager 7 in
       (* out of order, with a duplicate *)
@@ -240,7 +240,7 @@ let test_closure_prefetch_agreement () =
           Dsk.close b;
           List.iter
             (fun p -> if Sys.file_exists p then Sys.remove p)
-            [ path; path ^ ".wal"; path ^ ".sum" ])
+            (Engine.files path))
         [ (b_off, p_off); (b_on, p_on) ])
     (fun () ->
       (* cold pools, so the prefetch path has something to fetch *)

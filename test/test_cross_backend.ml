@@ -33,7 +33,7 @@ let temp_path name =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 (* One shared fixture for the whole suite. *)
 let fixture =

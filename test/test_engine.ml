@@ -24,7 +24,7 @@ let with_engine ?(pool_pages = 8) name k =
       (try Engine.close e with _ -> ());
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".sum"; path ^ ".wal" ])
+        (Engine.files path))
     (fun () -> k e path)
 
 let test_bracketing_errors () =
@@ -139,7 +139,7 @@ let test_wal_before_after_ordering () =
   (* close checkpoints/truncates, so capture before closing: reopen path
      is gone — instead re-run without close. *)
   Sys.remove path;
-  Sys.remove (path ^ ".sum");
+  Sys.remove (Pager.sum_path path);
   Sys.remove (path ^ ".wal");
   let e = Engine.open_ ~path ~pool_pages:8 () in
   let pool = Engine.pool e in
@@ -180,7 +180,7 @@ let test_wal_before_after_ordering () =
   (try Engine.close e with _ -> ());
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal" ]
+    (Engine.files path)
 
 (* --- group commit --- *)
 
@@ -199,7 +199,7 @@ let test_group_commit_single () =
       (try Engine.close e with _ -> ());
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".sum"; path ^ ".wal" ])
+        (Engine.files path))
     (fun () ->
       let pool = Engine.pool e in
       let syncs0 = Engine.wal_sync_count e in
@@ -329,7 +329,7 @@ let test_group_commit_multiuser_shares_fsyncs () =
       (try D.close db with _ -> ());
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".sum"; path ^ ".wal" ])
+        (Engine.files path))
     (fun () ->
       let module G = Hyper_core.Generator.Make (D) in
       let layout, _ = G.generate db ~doc:1 ~leaf_level:3 ~seed:7L in

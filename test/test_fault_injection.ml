@@ -37,7 +37,7 @@ let temp_path =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal"; path ^ ".wal.sum" ]
+    (Hyper_storage.Engine.files path)
 
 (* --- workload helpers (small batches: the sweep runs hundreds of times) --- *)
 
@@ -248,7 +248,7 @@ let test_checksum_detects_corruption () =
      if expected = actual then Alcotest.fail "expected <> actual");
   Pager.close pager2;
   (* A missing sidecar (pre-checksum file) is accepted unverified. *)
-  Sys.remove (path ^ ".sum");
+  Sys.remove (Pager.sum_path path);
   let pager3 = Pager.create path in
   let back = Pager.read pager3 id in
   check Alcotest.char "unverified read returns raw bytes" 'Z'

@@ -173,7 +173,7 @@ let temp_path =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 let memdb_case s =
   Alcotest.test_case s.name `Quick (fun () ->

@@ -42,7 +42,7 @@ let test_disk_cold_slower_than_warm () =
   in
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal" ];
+    (Hyper_storage.Engine.files path);
   (* A latency model makes cold misses expensive and deterministic. *)
   let b =
     D.open_db
@@ -62,7 +62,7 @@ let test_disk_cold_slower_than_warm () =
   D.close b;
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 let test_protocol_deterministic_inputs () =
   (* Equal (seed, op) draws identical inputs: two runs on identical

@@ -35,7 +35,7 @@ let temp_path =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".sum"; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 let batch_size = 100
 

@@ -21,7 +21,7 @@ let temp_path =
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".wal" ]
+    (Hyper_storage.Engine.files path)
 
 let with_db ?(pool_pages = 512) name k =
   let path = temp_path name in

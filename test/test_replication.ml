@@ -286,6 +286,30 @@ let test_group_commit_quorum_durable () =
   check Alcotest.bool "survivor has every acked commit" true
     (Replica.applied_commits survivor >= acked)
 
+(* The ticket/await split never runs the commit hook, so a replicated
+   engine refuses it up front and leaves the transaction open; the
+   plain commit still ships. *)
+let test_ticket_refused_when_replicated () =
+  let _env, vfs, db = build_primary () in
+  let layout = layout_of () in
+  let cfg = { Cluster.default_config with Cluster.policy = Repl.Sync_one } in
+  let cluster = cluster_of ~cfg ~vfs ~db 1 in
+  let engine = D.engine db in
+  let inst = Backend.Instance ((module D : Backend.S with type t = D.t), db) in
+  List.iter
+    (fun op -> ignore (Trace.apply ~layout inst op))
+    [ Trace.Begin; Trace.Set_hundred { oid = 1; value = 7 } ];
+  let shipped () = Replica.applied_commits (Cluster.replica cluster 0) in
+  let before = shipped () in
+  (match Hyper_storage.Engine.commit_ticket engine with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "commit_ticket accepted a replicated engine");
+  check Alcotest.bool "transaction still open" true
+    (Hyper_storage.Engine.in_txn engine);
+  check Alcotest.bool "commit acked" true
+    (Trace.apply ~layout inst Trace.Commit = Trace.Done Trace.V_unit);
+  check Alcotest.int "commit shipped" (before + 1) (shipped ())
+
 (* --- sync-one: the laggard is demoted to async, commits continue --- *)
 
 let test_sync_laggard_demoted () =
@@ -425,6 +449,8 @@ let () =
         [
           Alcotest.test_case "quorum ack implies replica-durable" `Quick
             test_group_commit_quorum_durable;
+          Alcotest.test_case "ticket refused when replicated" `Quick
+            test_ticket_refused_when_replicated;
         ] );
       ( "degradation",
         [

@@ -26,11 +26,13 @@ let with_server name k =
   let bm = M.create () in
   let layout, _ = Gen.generate bm ~doc:1 ~leaf_level:3 ~seed:11L in
   let instance = Backend.Instance ((module M : Backend.S with type t = M.t), bm) in
-  let addr = Netaddr.Unix_sock (sock_path name) in
-  let srv = Server.start ~layout instance addr in
+  let path = sock_path name in
+  let srv = Server.start ~layout instance (Netaddr.Unix_sock path) in
   Fun.protect
-    ~finally:(fun () -> Server.kill srv)
-    (fun () -> k srv addr layout)
+    ~finally:(fun () ->
+      Server.kill srv;
+      if Sys.file_exists path then Sys.remove path)
+    (fun () -> k srv (Netaddr.Unix_sock path) layout)
 
 let connect addr = Client.connect ~backoff_base_s:0.02 ~max_attempts:5 addr
 
@@ -226,6 +228,15 @@ let test_drain_finishes_in_flight () =
       | _ -> Alcotest.fail "server still serving after drain");
       Client.close c)
 
+(* A drained server leaves no socket file behind; [start] only cleans
+   up after a [kill]. *)
+let test_drain_removes_socket () =
+  with_server "unlink" (fun srv _addr _layout ->
+      let path = sock_path "unlink" in
+      check Alcotest.bool "socket bound" true (Sys.file_exists path);
+      Server.drain srv;
+      check Alcotest.bool "socket removed" false (Sys.file_exists path))
+
 (* --- restart / reconnect --- *)
 
 let test_reconnect_after_restart () =
@@ -241,11 +252,12 @@ let test_reconnect_after_restart () =
   let g1 = Client.generation c in
   Server.kill srv1;
   (* restart on the same address while the client retries with backoff *)
+  let srv2 = ref None in
   let restarter =
     Thread.create
       (fun () ->
         Thread.delay 0.15;
-        Server.start ~layout instance addr)
+        srv2 := Some (Server.start ~layout instance addr))
       ()
   in
   (* the call sees the dead socket, reconnects with backoff, retries *)
@@ -253,8 +265,8 @@ let test_reconnect_after_restart () =
   if Client.generation c <= g1 then
     Alcotest.fail "expected a fresh connection after restart";
   Client.close c;
-  let srv2 = Thread.join restarter in
-  ignore srv2
+  Thread.join restarter;
+  Option.iter Server.drain !srv2
 
 let test_mid_txn_loss_is_not_retried () =
   with_server "txnloss" (fun srv addr _layout ->
@@ -371,6 +383,8 @@ let () =
         [
           Alcotest.test_case "drain finishes in-flight" `Quick
             test_drain_finishes_in_flight;
+          Alcotest.test_case "drain removes its socket" `Quick
+            test_drain_removes_socket;
           Alcotest.test_case "reconnect after restart" `Quick
             test_reconnect_after_restart;
           Alcotest.test_case "mid-txn loss not retried" `Quick

@@ -22,7 +22,7 @@ let with_file_pager name k =
       Pager.close pager;
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".sum" ])
+        (Engine.files path))
     (fun () -> k pager path)
 
 (* --- Pager --- *)
@@ -52,7 +52,7 @@ let test_pager_persistence () =
     (Bytes.to_string (Page.get_sub back ~pos:100 ~len:10));
   Pager.close pager2;
   Sys.remove path;
-  Sys.remove (path ^ ".sum")
+  Sys.remove (Pager.sum_path path)
 
 let test_pager_bounds () =
   with_file_pager "bounds" (fun pager _ ->
@@ -426,24 +426,6 @@ let test_heap_read_with_views () =
           check Alcotest.int "overflow length" 20_000 len;
           check Alcotest.bytes "overflow assembled" big (Bytes.sub b off len)))
 
-(* The [legacy_copies] tuning knob must change allocation behaviour
-   only, never results. *)
-let test_heap_legacy_copies_equivalence () =
-  with_heap (fun _pool heap ->
-      let small = Bytes.of_string "legacy-vs-zero-copy" in
-      let big = Bytes.init 9_000 (fun i -> Char.chr (i * 3 mod 256)) in
-      let r1 = Heap.insert heap small in
-      let r2 = Heap.insert heap big in
-      let read_all () = (Heap.read heap r1, Heap.read heap r2) in
-      let fast = read_all () in
-      Fun.protect
-        ~finally:(fun () -> Storage_tuning.legacy_copies := false)
-        (fun () ->
-          Storage_tuning.legacy_copies := true;
-          let legacy = read_all () in
-          check Alcotest.bytes "small record equal" (fst fast) (fst legacy);
-          check Alcotest.bytes "big record equal" (snd fast) (snd legacy)))
-
 let test_heap_iter_order_and_attach () =
   with_file_pager "heap2" (fun pager _ ->
       let pool = Buffer_pool.create pager ~capacity:64 in
@@ -707,8 +689,6 @@ let () =
           Alcotest.test_case "clustering hint" `Quick test_heap_clustering_hint;
           Alcotest.test_case "iter and attach" `Quick test_heap_iter_order_and_attach;
           Alcotest.test_case "read_with views" `Quick test_heap_read_with_views;
-          Alcotest.test_case "legacy copies equivalence" `Quick
-            test_heap_legacy_copies_equivalence;
         ] );
       ( "freelist",
         [ Alcotest.test_case "lifo push/pop" `Quick test_freelist_lifo ] );

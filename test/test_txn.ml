@@ -434,7 +434,7 @@ let test_multiuser_diskdb () =
   let cleanup () =
     List.iter
       (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ path; path ^ ".sum"; path ^ ".wal" ]
+      (Hyper_storage.Engine.files path)
   in
   cleanup ();
   let b = B.open_db (B.default_config ~path) in
