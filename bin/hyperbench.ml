@@ -62,8 +62,12 @@ let level_arg =
          ~doc:"Leaf level of the test database (paper sizes: 4, 5, 6).")
 
 let path_arg =
-  Arg.(value & opt string "/tmp/hypermodel.db" & info [ "p"; "path" ]
-         ~docv:"PATH" ~doc:"Database file (diskdb/reldb only).")
+  Arg.(value
+       & opt string
+           (Filename.concat (Filename.get_temp_dir_name ()) "hypermodel.db")
+       & info [ "p"; "path" ] ~docv:"PATH"
+           ~doc:"Database file (diskdb/reldb only); defaults to \
+                 hypermodel.db in the temporary directory ($(b,TMPDIR)).")
 
 let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED"
@@ -99,6 +103,16 @@ let remove_store path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     (Hyper_storage.Engine.files path)
+
+(* [run] regenerates its database every time, so nothing it leaves
+   behind is worth keeping: the store is removed before and after.
+   ([generate] keeps its store on purpose, for [verify] and [gc].) *)
+let with_scratch_store backend path k =
+  if backend = Mem then k ()
+  else begin
+    remove_store path;
+    Fun.protect ~finally:(fun () -> remove_store path) k
+  end
 
 let generate_into (type a) (module B : Backend.S with type t = a) (b : a)
     ~level ~seed ~cluster ~fanout =
@@ -307,7 +321,7 @@ let run_net ~backend ~level ~path ~seed ~pool_pages ~remote ~cluster ~reps
   | None, Some addr_s -> run_client addr_s
   | None, None -> assert false
   | Some addr_s, _ ->
-    if backend <> Mem then remove_store path;
+    with_scratch_store backend path @@ fun () ->
     with_backend backend ~path ~pool_pages ~remote
       { act =
           (fun (type a) (module B : Backend.S with type t = a) (b : a) ->
@@ -379,7 +393,7 @@ let cmd_run =
       run_replicated ~level ~seed ~pool_pages ~cluster ~reps ~ops ~fanout
         ~replicas ~durability
     else begin
-    if backend <> Mem then remove_store path;
+    with_scratch_store backend path @@ fun () ->
     with_backend backend ~path ~pool_pages ~remote
       { act =
           (fun (type a) (module B : Backend.S with type t = a) (b : a) ->

@@ -1,6 +1,6 @@
 (** Disk-based object database — the GemStone/Vbase analogue.
 
-    Architecture: a page file accessed through an LRU buffer pool; node
+    Architecture: a page file accessed through a CLOCK buffer pool; node
     records in a slotted-page heap with overflow chains; a persistent
     object table mapping OIDs to relocatable records; B+tree indexes on
     uniqueId, hundred and million; a write-ahead log with before/after

@@ -21,6 +21,7 @@ let v8 = "no-page-copy"
 let v9 = "lock-order"
 let v10 = "no-blocking-under-mutex"
 let v11 = "sync-wrapper-only"
+let v12 = "one-checksum"
 
 let all =
   [
@@ -35,6 +36,7 @@ let all =
     (v9, "Sync.Mutex acquisition against the declared rank order");
     (v10, "blocking call lexically inside a Sync.Mutex critical section");
     (v11, "raw Mutex.create/Condition.create outside lib/util");
+    (v12, "a top-level checksum/crc/crc32 binding outside lib/storage/page.ml");
   ]
 
 type result = { findings : Finding.t list; suppressed : Finding.t list }
@@ -912,6 +914,25 @@ let check_structure ?pre ~scope_all ~source (str : structure) =
     ctx.bindings <- List.tl ctx.bindings;
     ctx.active_allows <- saved_allows
   in
+  (* V12: one checksum.  [Page.checksum] is the CRC-32 of pages, WAL
+     records, replication frames and wire frames; a module-level
+     [checksum]/[crc]/[crc32] elsewhere is a second kernel, or an alias
+     hiding which one a codec uses. *)
+  let check_checksum_binding vb =
+    if ctx.source <> "lib/storage/page.ml" then
+      List.iter
+        (fun id ->
+          match Ident.name id with
+          | ("checksum" | "crc" | "crc32") as name ->
+              flag v12 ~extra_allows:(allow_strings vb.vb_attributes)
+                vb.vb_pat.pat_loc
+                (Printf.sprintf "top-level `%s` outside lib/storage/page.ml"
+                   name)
+                "call Hyper_storage.Page.checksum (or checksum_update for \
+                 a slice) directly; it is the one CRC-32 kernel"
+          | _ -> ())
+        (pat_bound_idents vb.vb_pat)
+  in
   let structure sub s =
     (* Floating [@@@lint.allow "..."] applies to the rest of the
        enclosing structure (commonly: the rest of the file). *)
@@ -920,6 +941,7 @@ let check_structure ?pre ~scope_all ~source (str : structure) =
       (fun item ->
         (match item.str_desc with
         | Tstr_attribute a -> ctx.active_allows <- allow_strings [ a ] @ ctx.active_allows
+        | Tstr_value (_, vbs) -> List.iter check_checksum_binding vbs
         | _ -> ());
         (* Lock tracking is per top-level definition. *)
         ctx.held <- [];

@@ -6,10 +6,6 @@ let magic0 = Char.code 'H'
 let magic1 = Char.code 'M'
 let header_bytes = 12
 
-(* CRC-32 (IEEE), shared with the page checksums: the wire only needs
-   to catch truncation and bit rot, and one table beats two. *)
-let crc = Hyper_storage.Page.checksum
-
 type request =
   | Hello of { client : string; protocol : int }
   | Ops of { rid : int; ops : Trace.op list }
@@ -214,7 +210,7 @@ let frame ~kind body =
   Bytes.set_uint8 out 2 protocol_version;
   Bytes.set_uint8 out 3 kind;
   Bytes.set_int32_le out 4 (Int32.of_int blen);
-  Bytes.set_int32_le out 8 (Int32.of_int (crc body));
+  Bytes.set_int32_le out 8 (Int32.of_int (Hyper_storage.Page.checksum body));
   Bytes.blit body 0 out header_bytes blen;
   out
 
@@ -437,7 +433,7 @@ module Decoder = struct
               t.start <- t.start + header_bytes + blen;
               t.len <- t.len - (header_bytes + blen);
               if t.len = 0 then t.start <- 0;
-              let got = crc body in
+              let got = Hyper_storage.Page.checksum body in
               if got <> expected then poison t (Bad_crc { expected; got })
               else
                 match t.parse ~kind body with

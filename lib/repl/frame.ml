@@ -11,14 +11,11 @@ type t =
   | Nak of { epoch : int; lsn : int }
   | Fence of { epoch : int }
 
-let frame_magic = 0xB3
+(* 0xB3 marked the previous layout, whose trailer was a 30-bit rolling
+   hash; such frames now fail the magic check. *)
+let frame_magic = 0xB4
 
-(* Same cheap rolling checksum family as the WAL's record CRC — frames
-   only need to catch truncation and bit rot injected by the link. *)
-let checksum b =
-  let h = ref 5381 in
-  Bytes.iter (fun c -> h := (((!h lsl 5) + !h) + Char.code c) land 0x3FFFFFFF) b;
-  !h
+module Page = Hyper_storage.Page
 
 let tag_of = function
   | Append _ -> 1
@@ -66,7 +63,8 @@ let encode t =
   let body = Buffer.to_bytes buf in
   let out = Bytes.create (Bytes.length body + 4) in
   Bytes.blit body 0 out 0 (Bytes.length body);
-  Bytes.set_int32_le out (Bytes.length body) (Int32.of_int (checksum body));
+  Bytes.set_int32_le out (Bytes.length body)
+    (Int32.of_int (Page.checksum body));
   out
 
 exception Bad
@@ -76,8 +74,8 @@ let decode b =
   if len < 10 then None
   else begin
     let body_len = len - 4 in
-    let crc = Int32.to_int (Bytes.get_int32_le b body_len) land 0x3FFFFFFF in
-    if crc <> checksum (Bytes.sub b 0 body_len) then None
+    let crc = Int32.to_int (Bytes.get_int32_le b body_len) land 0xFFFFFFFF in
+    if crc <> Page.checksum_update 0 b ~pos:0 ~len:body_len then None
     else begin
       let pos = ref 2 in
       let u32 () =

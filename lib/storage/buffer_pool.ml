@@ -26,20 +26,30 @@ type stats = {
 
 type frame = {
   page_id : int;
+  slot : int; (* index in [ring] *)
   mutable data : bytes;
   mutable owned : bool;
       (* false: [data] is a zero-copy view aliasing the pager's backing
          store — read-only until [unshare] copies it (copy-on-write) *)
   mutable dirty : bool;
   mutable pins : int;
-  mutable tick : int; (* last-use stamp for LRU *)
+  mutable referenced : bool; (* CLOCK reference bit *)
 }
 
+(* Replacement is CLOCK: [ring] holds the resident frames by slot, and
+   the hand sweeps it, clearing reference bits, until it meets an
+   unpinned frame whose bit is already clear.  Every access sets the
+   bit, so a victim costs amortized O(1) instead of a scan of all
+   frames.  [frames] maps a page to its frame (and so to its slot);
+   slots not in use are [empty] and listed on the [free] stack. *)
 type t = {
   pager : Pager.t;
   cap : int;
   frames : (int, frame) Hashtbl.t;
-  mutable clock : int;
+  ring : frame array;
+  free : int array; (* stack of unused slots, [free.(0 .. nfree - 1)] *)
+  mutable nfree : int;
+  mutable hand : int;
   mutable on_first_dirty : int -> bytes -> unit;
   mutable on_evict_dirty : int -> bytes -> unit;
   (* pages already reported to [on_first_dirty] since the last
@@ -51,19 +61,49 @@ type t = {
 
 let no_hook (_ : int) (_ : bytes) = ()
 
+let empty =
+  { page_id = -1; slot = -1; data = Bytes.empty; owned = false;
+    dirty = false; pins = 0; referenced = false }
+
+(* Every slot empty and free, slot 0 on top; the hand at slot 0. *)
+let clear_ring t =
+  Array.fill t.ring 0 t.cap empty;
+  for i = 0 to t.cap - 1 do
+    t.free.(i) <- t.cap - 1 - i
+  done;
+  t.nfree <- t.cap;
+  t.hand <- 0
+
 let create pager ~capacity =
   if capacity < 4 then invalid_arg "Buffer_pool.create: capacity < 4";
-  { pager; cap = capacity; frames = Hashtbl.create (2 * capacity); clock = 0;
-    on_first_dirty = no_hook; on_evict_dirty = no_hook;
-    first_dirty_seen = Hashtbl.create 64; pinned = 0;
-    stats = { hits = 0; misses = 0; evictions = 0; prefetches = 0 } }
+  let t =
+    { pager; cap = capacity; frames = Hashtbl.create (2 * capacity);
+      ring = Array.make capacity empty; free = Array.make capacity 0;
+      nfree = 0; hand = 0;
+      on_first_dirty = no_hook; on_evict_dirty = no_hook;
+      first_dirty_seen = Hashtbl.create 64; pinned = 0;
+      stats = { hits = 0; misses = 0; evictions = 0; prefetches = 0 } }
+  in
+  clear_ring t;
+  t
 
 let capacity t = t.cap
 let pager t = t.pager
 
-let touch t f =
-  t.clock <- t.clock + 1;
-  f.tick <- t.clock
+(* Make [page_id] resident in a free slot (the caller made room). *)
+let install t page_id ~data ~owned ~dirty =
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  let f = { page_id; slot; data; owned; dirty; pins = 0; referenced = true } in
+  t.ring.(slot) <- f;
+  Hashtbl.add t.frames page_id f;
+  f
+
+let release t f =
+  Hashtbl.remove t.frames f.page_id;
+  t.ring.(f.slot) <- empty;
+  t.free.(t.nfree) <- f.slot;
+  t.nfree <- t.nfree + 1
 
 let write_back t f =
   if f.dirty then begin
@@ -71,27 +111,28 @@ let write_back t f =
     f.dirty <- false
   end
 
-(* Evict the least-recently-used unpinned frame.  Dirty victims are
-   announced through [on_evict_dirty] (WAL rule) and then written back. *)
+(* Evict the unpinned frame the CLOCK hand stops at.  Dirty victims are
+   announced through [on_evict_dirty] (WAL rule) and then written back.
+   With an unpinned frame resident the sweep stops within two turns:
+   the first clears every bit it passes. *)
 let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun _ f best ->
-        if f.pins > 0 then best
-        else
-          match best with
-          | Some b when b.tick <= f.tick -> best
-          | _ -> Some f)
-      t.frames None
+  let rec sweep steps =
+    if steps = 0 then failwith "Buffer_pool: all frames pinned, cannot evict";
+    let f = t.ring.(t.hand) in
+    t.hand <- (if t.hand + 1 = t.cap then 0 else t.hand + 1);
+    if f == empty || f.pins > 0 then sweep (steps - 1)
+    else if f.referenced then begin
+      f.referenced <- false;
+      sweep (steps - 1)
+    end
+    else f
   in
-  match victim with
-  | None -> failwith "Buffer_pool: all frames pinned, cannot evict"
-  | Some f ->
-    if f.dirty then t.on_evict_dirty f.page_id f.data;
-    write_back t f;
-    Hashtbl.remove t.frames f.page_id;
-    t.stats.evictions <- t.stats.evictions + 1;
-    Obs.Counter.incr m_evictions
+  let f = sweep (2 * t.cap) in
+  if f.dirty then t.on_evict_dirty f.page_id f.data;
+  write_back t f;
+  release t f;
+  t.stats.evictions <- t.stats.evictions + 1;
+  Obs.Counter.incr m_evictions
 
 let ensure_room t =
   while Hashtbl.length t.frames >= t.cap do
@@ -103,7 +144,7 @@ let load t page_id =
   | Some f ->
     t.stats.hits <- t.stats.hits + 1;
     Obs.Counter.incr m_hits;
-    touch t f;
+    f.referenced <- true;
     f
   | None ->
     t.stats.misses <- t.stats.misses + 1;
@@ -112,10 +153,7 @@ let load t page_id =
     let data, owned =
       Obs.Span.with_span "pool.miss" (fun () -> Pager.read_view t.pager page_id)
     in
-    let f = { page_id; data; owned; dirty = false; pins = 0; tick = 0 } in
-    touch t f;
-    Hashtbl.add t.frames page_id f;
-    f
+    install t page_id ~data ~owned ~dirty:false
 
 let pin t f =
   Obs.Counter.incr m_pins;
@@ -198,9 +236,7 @@ let prefetch t page_ids =
     Obs.Counter.add m_prefetches want;
     List.iter2
       (fun page_id (data, owned) ->
-        let f = { page_id; data; owned; dirty = false; pins = 0; tick = 0 } in
-        touch t f;
-        Hashtbl.add t.frames page_id f;
+        ignore (install t page_id ~data ~owned ~dirty:false : frame);
         t.stats.prefetches <- t.stats.prefetches + 1)
       batch pages
   end
@@ -234,12 +270,8 @@ let zero_page = lazy (Page.alloc ())
 let allocate t =
   let page_id = Pager.allocate t.pager in
   ensure_room t;
-  let f =
-    { page_id; data = Page.alloc (); owned = true; dirty = true; pins = 0;
-      tick = 0 }
-  in
-  touch t f;
-  Hashtbl.add t.frames page_id f;
+  ignore (install t page_id ~data:(Page.alloc ()) ~owned:true ~dirty:true
+          : frame);
   if not (Hashtbl.mem t.first_dirty_seen page_id) then begin
     Hashtbl.add t.first_dirty_seen page_id ();
     t.on_first_dirty page_id (Lazy.force zero_page)
@@ -255,16 +287,20 @@ let drop_all t =
     t.frames;
   flush_all t;
   Hashtbl.reset t.frames;
+  clear_ring t;
   Hashtbl.reset t.first_dirty_seen
 
 let discard_dirty t =
-  let dirty_ids =
-    Hashtbl.fold (fun id f acc -> if f.dirty then id :: acc else acc) t.frames []
+  let dirty =
+    Hashtbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
   in
-  List.iter (fun id -> Hashtbl.remove t.frames id) dirty_ids;
+  List.iter (release t) dirty;
   Hashtbl.reset t.first_dirty_seen
 
-let invalidate t page_id = Hashtbl.remove t.frames page_id
+let invalidate t page_id =
+  match Hashtbl.find_opt t.frames page_id with
+  | Some f -> release t f
+  | None -> ()
 
 let set_txn_hooks t ~on_first_dirty ~on_evict_dirty =
   t.on_first_dirty <- on_first_dirty;

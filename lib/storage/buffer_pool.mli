@@ -1,6 +1,10 @@
-(** LRU buffer pool between the access methods and the {!Pager}.
+(** CLOCK buffer pool between the access methods and the {!Pager}.
 
-    The pool holds a bounded number of page frames.  Access is scoped —
+    The pool holds a bounded number of page frames.  Replacement is
+    CLOCK (second chance): every access sets a frame's reference bit,
+    and a hand sweeping the frame array evicts the first unpinned frame
+    whose bit is already clear, clearing bits as it passes, so choosing
+    a victim costs amortized constant time.  Access is scoped —
     [with_page] pins the frame for the duration of the callback so nested
     accesses cannot evict it.  Dirty frames are written back on eviction
     (a "steal" policy) and on [flush_all].

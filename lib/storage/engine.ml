@@ -57,8 +57,14 @@ let open_ ?(vfs = Vfs.real) ~path ~pool_pages ?(durable_sync = false)
   let vfs = Vfs.observed (Vfs.retrying vfs) in
   let wal_path = wal_path path in
   let pager = Pager.create ~vfs path in
+  let needs_recovery =
+    try Recovery.needs_recovery ~vfs wal_path
+    with Storage_error.Error (Storage_error.Unsupported_format _) as e ->
+      Pager.close pager;
+      raise e
+  in
   let recovery_report =
-    if Recovery.needs_recovery ~vfs wal_path then begin
+    if needs_recovery then begin
       let report = Recovery.recover ~vfs ~wal_path pager in
       Pager.sync pager;
       Some report

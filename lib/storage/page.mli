@@ -27,8 +27,18 @@ val get_sub : bytes -> pos:int -> len:int -> bytes
 val set_sub : bytes -> pos:int -> bytes -> unit
 
 val checksum : bytes -> int
-(** CRC-32 (IEEE) of a buffer — the page-image checksum {!Pager} stores
-    in the [.sum] sidecar and verifies on every read. *)
+(** CRC-32 (IEEE) of a buffer.  This is the system's only checksum: the
+    page-image CRC {!Pager} stores in the [.sum] sidecar and verifies on
+    every read, the {!Wal} record CRC, and the replication and wire
+    frame CRCs.  The result is in [0 .. 0xFFFFFFFF]. *)
+
+val checksum_update : int -> bytes -> pos:int -> len:int -> int
+(** [checksum_update crc b ~pos ~len] extends [crc], the CRC-32 of some
+    prefix, over [b.[pos .. pos + len - 1]] in place, without copying
+    the slice.  [checksum_update 0 b ~pos ~len] is the CRC of the slice
+    alone, and [checksum_update (checksum x) y ~pos:0 ~len:(Bytes.length
+    y)] equals [checksum (Bytes.cat x y)].
+    @raise Invalid_argument if the range is outside [b]. *)
 
 (** Page-type tags stored in byte 0 of structured pages.  A freshly
     allocated (zeroed) page reads as [Free]. *)

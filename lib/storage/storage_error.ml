@@ -4,6 +4,7 @@ type t =
   | Io of { op : string; path : string; fault : fault; transient : bool }
   | Corrupt_page of { path : string; page : int; expected : int; actual : int }
   | Read_only
+  | Unsupported_format of { path : string; found : int; expected : int }
 
 exception Error of t
 
@@ -21,6 +22,11 @@ let to_string = function
       "%s: page %d checksum mismatch (stored %#x, computed %#x)" path page
       expected actual
   | Read_only -> "store is in read-only mode (WAL unavailable)"
+  | Unsupported_format { path; found; expected } ->
+    Printf.sprintf
+      "%s: unsupported format (magic %#x, this build reads %#x); recover \
+       it with the build that wrote it"
+      path found expected
 
 let is_transient = function Io { transient; _ } -> transient | _ -> false
 

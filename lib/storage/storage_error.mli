@@ -14,7 +14,11 @@
       heap or the indexes.
     - [Read_only] — the engine demoted itself to read-only because the
       WAL could no longer be appended (e.g. [ENOSPC]); committed data
-      remains readable, mutations are refused. *)
+      remains readable, mutations are refused.
+    - [Unsupported_format] — a file (the WAL) was written in an older
+      on-disk format this build no longer reads; [found] is the magic
+      byte seen, [expected] the current one.  Refused rather than
+      discarded, so committed but unapplied work is never dropped. *)
 
 type fault = Eio | Enospc | Efault of string  (** any other [Unix.error] *)
 
@@ -22,6 +26,7 @@ type t =
   | Io of { op : string; path : string; fault : fault; transient : bool }
   | Corrupt_page of { path : string; page : int; expected : int; actual : int }
   | Read_only
+  | Unsupported_format of { path : string; found : int; expected : int }
 
 exception Error of t
 

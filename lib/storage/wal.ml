@@ -39,7 +39,10 @@ type t = {
   mutable on_append : (int -> entry -> unit) option; (* stream cursor *)
 }
 
-let entry_magic = 0xA7
+(* 0xA7 marked the previous record format, whose trailer was a weak
+   rolling hash; see [check_format]. *)
+let entry_magic = 0xA8
+let legacy_entry_magic = 0xA7
 
 let kind_of = function
   | Begin _ -> 1
@@ -47,12 +50,6 @@ let kind_of = function
   | After _ -> 3
   | Commit _ -> 4
   | Checkpoint -> 5
-
-(* Cheap rolling checksum — only needs to catch torn/garbled tails. *)
-let checksum b =
-  let h = ref 5381 in
-  Bytes.iter (fun c -> h := (((!h lsl 5) + !h) + Char.code c) land 0x3FFFFFFF) b;
-  !h
 
 let payload_of = function
   | Begin _ | Commit _ | Checkpoint -> Bytes.empty
@@ -77,6 +74,12 @@ let encode_header e plen =
   Page.set_u32 b 10 plen;
   b
 
+(* The record CRC: one CRC-32 over header then payload, computed in
+   place over the two buffers. *)
+let record_crc hdr payload =
+  Page.checksum_update (Page.checksum hdr) payload ~pos:0
+    ~len:(Bytes.length payload)
+
 (* The exact on-disk (and on-wire) representation of one record:
    header, payload, record CRC.  Replication ships these bytes verbatim,
    so a shipped frame carries the same per-record checksum the log file
@@ -88,7 +91,7 @@ let encode_entry e =
   let b = Bytes.create (header_bytes + plen + 4) in
   Bytes.blit hdr 0 b 0 header_bytes;
   Bytes.blit payload 0 b header_bytes plen;
-  Page.set_u32 b (header_bytes + plen) (checksum payload lxor checksum hdr);
+  Page.set_u32 b (header_bytes + plen) (record_crc hdr payload);
   b
 
 (* Decode the clean prefix of [data.(0 .. len)]: entries plus the byte
@@ -98,7 +101,7 @@ let decode_prefix data len =
   let entries = ref [] in
   let pos = ref 0 in
   let ok = ref true in
-  while !ok && !pos + 18 <= len do
+  while !ok && !pos + header_bytes + 4 <= len do
     let hdr = !pos in
     if Page.get_u8 data hdr <> entry_magic then ok := false
     else begin
@@ -106,28 +109,28 @@ let decode_prefix data len =
       let txn = Page.get_u32 data (hdr + 2) in
       let page = Page.get_u32 data (hdr + 6) in
       let plen = Page.get_u32 data (hdr + 10) in
-      if hdr + 14 + plen + 4 > len then ok := false
-      else begin
-        let payload = Bytes.sub data (hdr + 14) plen in
-        let crc = Page.get_u32 data (hdr + 14 + plen) in
-        if crc <> checksum payload lxor checksum (Bytes.sub data hdr 14) then
-          ok := false
-        else
-          let entry =
-            match kind with
-            | 1 -> Some (Begin txn)
-            | 2 -> Some (Before (txn, page, payload))
-            | 3 -> Some (After (txn, page, payload))
-            | 4 -> Some (Commit txn)
-            | 5 -> Some Checkpoint
-            | _ -> None
-          in
-          match entry with
-          | Some e ->
-            entries := e :: !entries;
-            pos := hdr + 14 + plen + 4
-          | None -> ok := false
-      end
+      let body = header_bytes + plen in
+      if hdr + body + 4 > len then ok := false
+      else if
+        Page.get_u32 data (hdr + body)
+        <> Page.checksum_update 0 data ~pos:hdr ~len:body
+      then ok := false
+      else
+        let payload () = Bytes.sub data (hdr + header_bytes) plen in
+        let entry =
+          match kind with
+          | 1 -> Some (Begin txn)
+          | 2 -> Some (Before (txn, page, payload ()))
+          | 3 -> Some (After (txn, page, payload ()))
+          | 4 -> Some (Commit txn)
+          | 5 -> Some Checkpoint
+          | _ -> None
+        in
+        match entry with
+        | Some e ->
+          entries := e :: !entries;
+          pos := hdr + body + 4
+        | None -> ok := false
     end
   done;
   (List.rev !entries, !pos)
@@ -135,6 +138,17 @@ let decode_prefix data len =
 let decode_entries b =
   let entries, pos = decode_prefix b (Bytes.length b) in
   (entries, pos < Bytes.length b)
+
+(* A log written in the previous record format is refused, not read as
+   a torn tail: truncating it would drop committed transactions whose
+   forced pages never reached the data file.  Only the first record is
+   checked — a torn tail always starts with the current magic. *)
+let check_format path data len =
+  if len > 0 && Page.get_u8 data 0 = legacy_entry_magic then
+    raise
+      (Storage_error.Error
+         (Storage_error.Unsupported_format
+            { path; found = legacy_entry_magic; expected = entry_magic }))
 
 (* A torn final record — a crash mid-append — must be truncated away at
    open: appending past it would bury live records behind garbage that
@@ -150,6 +164,10 @@ let open_ ?(vfs = Vfs.real) path =
     else begin
       let data = Bytes.create len in
       file.Vfs.pread ~buf:data ~off:0;
+      (try check_format path data len
+       with Storage_error.Error _ as e ->
+         file.Vfs.close ();
+         raise e);
       let _, pos = decode_prefix data len in
       pos
     end
@@ -170,9 +188,7 @@ let append t e =
   let hdr = encode_header e plen in
   Buffer.add_bytes t.buf hdr;
   Buffer.add_bytes t.buf payload;
-  let crc = Bytes.create 4 in
-  Page.set_u32 crc 0 (checksum payload lxor checksum hdr);
-  Buffer.add_bytes t.buf crc;
+  Buffer.add_int32_le t.buf (Int32.of_int (record_crc hdr payload));
   let size = header_bytes + plen + 4 in
   Obs.Counter.incr m_appends;
   Obs.Counter.add m_append_bytes size;
@@ -235,6 +251,7 @@ let scan ?(vfs = Vfs.real) path =
     let data = Bytes.create len in
     if len > 0 then file.Vfs.pread ~buf:data ~off:0;
     file.Vfs.close ();
+    check_format path data len;
     let entries, pos = decode_prefix data len in
     { entries; clean_bytes = pos; torn = pos < len }
   end

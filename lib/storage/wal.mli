@@ -12,8 +12,10 @@
     - [Checkpoint] states that all committed work has reached the main
       file, allowing log truncation.
 
-    Entries carry a checksum; {!read_all} stops cleanly at a torn or
-    corrupt tail, which is what makes crash-recovery tests meaningful. *)
+    A record is a 14-byte header ({!entry_magic}, kind, txn, page,
+    payload length), the payload, and a CRC-32 ({!Page.checksum}) over
+    header and payload.  {!read_all} stops cleanly at a torn or corrupt
+    tail, which is what makes crash-recovery tests meaningful. *)
 
 type entry =
   | Begin of int
@@ -22,12 +24,19 @@ type entry =
   | Commit of int
   | Checkpoint
 
+val entry_magic : int
+(** First byte of every record.  A log whose first record carries the
+    previous format's magic is refused with
+    {!Storage_error.Unsupported_format} by {!open_} and {!scan}. *)
+
 type t
 
 val open_ : ?vfs:Vfs.t -> string -> t
 (** Opens for appending (creates when absent) through [vfs] (default
     {!Vfs.real}).  A torn or garbled tail left by a crash is truncated
-    away so subsequent appends extend the clean prefix.  Appends are
+    away so subsequent appends extend the clean prefix.  A log in the
+    previous record format raises {!Storage_error.Error} rather than
+    being truncated as torn.  Appends are
     buffered in memory; {!flush} issues them to the vfs, which is what
     establishes write-ahead ordering relative to page writes. *)
 

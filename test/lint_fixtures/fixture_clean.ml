@@ -57,3 +57,8 @@ let polite () =
   let snapshot = Sync.Mutex.with_lock outer (fun () -> 42) in
   Thread.delay 0.001;
   snapshot
+
+(* Checksums come from the one CRC-32 kernel; a local name is fine. *)
+let frame_crc body =
+  let crc = Hyper_storage.Page.checksum body in
+  crc land 0xFFFFFFFF

@@ -67,3 +67,7 @@ let chain_variants (chains : (Oid.t * string, int) Hashtbl.t) (key : Oid.t) =
     (Hashtbl.fold
        (fun (oid, variant) _ acc -> if oid = key then variant :: acc else acc)
        chains [])
+
+(* one-checksum: a second checksum kernel beside Page.checksum. *)
+let checksum b =
+  Bytes.fold_left (fun h c -> (h * 33) + Char.code c) 5381 b

@@ -48,6 +48,7 @@ let expected_violations =
     ("lock-order", 56);
     ("no-blocking-under-mutex", 59);
     ("no-poly-compare-on-oid", 68);
+    ("one-checksum", 72);
   ]
 
 let test_violations () =

@@ -136,6 +136,20 @@ let test_frame_codec () =
   check Alcotest.bool "truncated frame rejected" true
     (Frame.decode (Bytes.sub b 0 5) = None)
 
+(* The djb2 blind spot: +1 on byte i and -33 on byte i+1 leave a
+   multiply-by-33 rolling hash unchanged.  A real CRC sees it. *)
+let test_frame_collision () =
+  let b =
+    Frame.encode
+      (Frame.Append { epoch = 1; base_lsn = 0; payload = Bytes.make 64 'b' })
+  in
+  (* Header: magic, tag, epoch, base_lsn, payload length; then payload. *)
+  let i = 14 + 20 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) + 1));
+  Bytes.set b (i + 1) (Char.chr (Char.code (Bytes.get b (i + 1)) - 33));
+  check Alcotest.bool "compensated double-byte change rejected" true
+    (Frame.decode b = None)
+
 (* --- shared scenario plumbing --- *)
 
 let layout_of () = Layout.make ~doc:1 ~oid_base:0 ~leaf_level:level ()
@@ -432,7 +446,10 @@ let () =
           Alcotest.test_case "torn frame nakked, never redone" `Quick
             test_torn_frame_nak;
         ] );
-      ("frame", [ Alcotest.test_case "codec" `Quick test_frame_codec ]);
+      ( "frame",
+        [ Alcotest.test_case "codec" `Quick test_frame_codec;
+          Alcotest.test_case "djb2 collision rejected" `Quick
+            test_frame_collision ] );
       ( "failover",
         [
           Alcotest.test_case "ack-policy matrix x crash points" `Slow

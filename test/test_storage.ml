@@ -25,6 +25,62 @@ let with_file_pager name k =
         (Engine.files path))
     (fun () -> k pager path)
 
+(* --- CRC-32 kernel --- *)
+
+(* The bytewise table-driven CRC-32 the sliced kernel must agree with,
+   kept here as the reference. *)
+let reference_crc b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_known_answer () =
+  check Alcotest.int "CRC-32 check value" 0xCBF43926
+    (Page.checksum (Bytes.of_string "123456789"));
+  check Alcotest.int "empty buffer" 0 (Page.checksum Bytes.empty);
+  Alcotest.check_raises "range outside the buffer"
+    (Invalid_argument "Page.checksum_update") (fun () ->
+      ignore (Page.checksum_update 0 (Bytes.create 8) ~pos:4 ~len:5))
+
+let prop_crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 0 9000 in
+      let* s = string_size ~gen:char (return len) in
+      let* pos = int_range 0 len in
+      let* sub_len = int_range 0 (len - pos) in
+      let* split = int_range 0 sub_len in
+      return (s, pos, sub_len, split))
+  in
+  QCheck.Test.make ~name:"sliced CRC-32 agrees with the bytewise reference"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, pos, len, split) ->
+         Printf.sprintf "length %d, pos %d, len %d, split %d"
+           (String.length s) pos len split)
+       gen)
+    (fun (s, pos, len, split) ->
+      let b = Bytes.of_string s in
+      let whole = reference_crc b ~pos:0 ~len:(Bytes.length b) in
+      let slice = reference_crc b ~pos ~len in
+      Page.checksum b = whole
+      && Page.checksum_update 0 b ~pos ~len = slice
+      (* Streaming: a slice in two pieces, the first CRC seeding the second. *)
+      && Page.checksum_update
+           (Page.checksum_update 0 b ~pos ~len:split)
+           b ~pos:(pos + split) ~len:(len - split)
+         = slice)
+
 (* --- Pager --- *)
 
 let test_pager_roundtrip () =
@@ -135,6 +191,31 @@ let test_pool_pin_protects () =
           done);
       Buffer_pool.with_page pool first (fun page ->
           check Alcotest.int "pinned page intact" 0 (Page.get_u16 page 2)))
+
+(* The CLOCK sweep gives up when every resident frame is pinned, and
+   slots freed by [invalidate] are reused before anything is evicted. *)
+let test_pool_all_pinned_and_slot_reuse () =
+  with_file_pager "allpinned" (fun pager _ ->
+      let pool = Buffer_pool.create pager ~capacity:4 in
+      let ids = List.init 6 (fun _ -> Buffer_pool.allocate pool) in
+      Buffer_pool.flush_all pool;
+      Buffer_pool.drop_all pool;
+      let first4 = List.filteri (fun i _ -> i < 4) ids in
+      Buffer_pool.with_pages pool first4 (fun _ ->
+          Alcotest.check_raises "no unpinned victim"
+            (Failure "Buffer_pool: all frames pinned, cannot evict") (fun () ->
+              Buffer_pool.with_page pool (List.nth ids 4) ignore));
+      let evictions () = (Buffer_pool.stats pool).Buffer_pool.evictions in
+      let before = evictions () in
+      Buffer_pool.invalidate pool (List.nth ids 0);
+      Buffer_pool.invalidate pool (List.nth ids 1);
+      Buffer_pool.with_page pool (List.nth ids 4) ignore;
+      Buffer_pool.with_page pool (List.nth ids 5) ignore;
+      check Alcotest.int "freed slots reused without eviction" before
+        (evictions ());
+      Buffer_pool.with_page pool (List.nth ids 0) ignore;
+      check Alcotest.int "a full pool evicts one frame" (before + 1)
+        (evictions ()))
 
 let test_pool_discard_dirty () =
   with_file_pager "discard" (fun pager _ ->
@@ -530,6 +611,88 @@ let test_wal_torn_tail () =
   check Alcotest.int "commit lost, prefix kept" 2 (List.length back);
   Sys.remove path
 
+(* The djb2 blind spot the previous record checksum had: +1 on byte i
+   and -33 on byte i+1 of a payload left it unchanged, so a corrupted
+   After image was redone as if intact. *)
+let test_wal_collision_not_redone () =
+  with_file_pager "collide" (fun pager _path ->
+      let wal_path = temp_path "collide_wal" in
+      let p0 = Pager.allocate pager in
+      Pager.write pager p0 (page_of_char 'o');
+      let wal = Wal.open_ wal_path in
+      Wal.append wal (Wal.Begin 1);
+      Wal.append wal (Wal.After (1, p0, page_of_char 'b'));
+      Wal.append wal (Wal.Commit 1);
+      Wal.flush wal;
+      Wal.close wal;
+      (* Begin is 18 bytes; the After payload starts after its 14-byte
+         header. *)
+      let i = 18 + 14 + 100 in
+      let fd = Unix.openfile wal_path [ Unix.O_RDWR ] 0 in
+      let plant off c =
+        ignore (Unix.lseek fd off Unix.SEEK_SET);
+        ignore (Unix.write_substring fd (String.make 1 c) 0 1)
+      in
+      plant i (Char.chr (Char.code 'b' + 1));
+      plant (i + 1) (Char.chr (Char.code 'b' - 33));
+      Unix.close fd;
+      let scan = Wal.scan wal_path in
+      check Alcotest.int "scan stops before the garbled After" 1
+        (List.length scan.Wal.entries);
+      check Alcotest.int "clean prefix is the Begin record" 18
+        scan.Wal.clean_bytes;
+      check Alcotest.bool "torn" true scan.Wal.torn;
+      let report = Recovery.recover ~wal_path pager in
+      check (Alcotest.list Alcotest.int) "nothing redone" []
+        report.Recovery.committed;
+      check Alcotest.int "no pages redone" 0 report.Recovery.pages_redone;
+      check Alcotest.char "page keeps its old value" 'o'
+        (Bytes.get (Pager.read pager p0) 0);
+      Sys.remove wal_path)
+
+(* A log written in the previous record format (magic 0xA7, a rolling
+   djb2 trailer) must be refused at open, not truncated as a torn tail:
+   its committed transactions may not have reached the data file. *)
+let legacy_begin_record txn =
+  let djb2 b =
+    let h = ref 5381 in
+    Bytes.iter
+      (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFFF)
+      b;
+    !h
+  in
+  let hdr = Bytes.make 14 '\000' in
+  Page.set_u8 hdr 0 0xA7;
+  Page.set_u8 hdr 1 1;
+  Page.set_u32 hdr 2 txn;
+  let b = Bytes.extend hdr 0 4 in
+  Page.set_u32 b 14 (djb2 Bytes.empty lxor djb2 hdr);
+  b
+
+let test_wal_old_format_refused () =
+  let path = temp_path "oldwal" in
+  let wal_path = path ^ ".wal" in
+  let record = legacy_begin_record 1 in
+  let oc = open_out_bin wal_path in
+  output_bytes oc record;
+  close_out oc;
+  let refused f =
+    match f () with
+    | _ -> Alcotest.fail "old-format log was accepted"
+    | exception
+        Storage_error.Error
+          (Storage_error.Unsupported_format { found; expected; _ }) ->
+      check Alcotest.int "found the old magic" 0xA7 found;
+      check Alcotest.int "expected the current magic" Wal.entry_magic expected
+  in
+  refused (fun () -> ignore (Engine.open_ ~path ~pool_pages:16 ()));
+  refused (fun () -> ignore (Wal.open_ wal_path));
+  check Alcotest.int "log left intact" (Bytes.length record)
+    (Unix.stat wal_path).Unix.st_size;
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    (Engine.files path)
+
 let test_wal_missing_file () =
   check Alcotest.int "missing file is empty log" 0
     (List.length (Wal.read_all (temp_path "nonexistent")))
@@ -650,6 +813,11 @@ let test_object_table () =
 let () =
   Alcotest.run "hyper_storage"
     [
+      ( "crc32",
+        [
+          Alcotest.test_case "known answer" `Quick test_crc_known_answer;
+          qtest prop_crc_matches_reference;
+        ] );
       ( "pager",
         [
           Alcotest.test_case "round trip" `Quick test_pager_roundtrip;
@@ -663,6 +831,8 @@ let () =
           Alcotest.test_case "caching" `Quick test_pool_caching;
           Alcotest.test_case "eviction under pressure" `Quick test_pool_eviction;
           Alcotest.test_case "pin protects" `Quick test_pool_pin_protects;
+          Alcotest.test_case "all pinned, slot reuse" `Quick
+            test_pool_all_pinned_and_slot_reuse;
           Alcotest.test_case "discard dirty (abort)" `Quick test_pool_discard_dirty;
           Alcotest.test_case "first-dirty hook" `Quick test_pool_first_dirty_hook;
           Alcotest.test_case "copy-on-write isolation" `Quick
@@ -698,6 +868,10 @@ let () =
           Alcotest.test_case "round trip" `Quick test_wal_roundtrip;
           Alcotest.test_case "torn tail tolerated" `Quick test_wal_torn_tail;
           Alcotest.test_case "missing file" `Quick test_wal_missing_file;
+          Alcotest.test_case "djb2 collision stops the scan" `Quick
+            test_wal_collision_not_redone;
+          Alcotest.test_case "old format refused at open" `Quick
+            test_wal_old_format_refused;
         ] );
       ( "recovery",
         [
