@@ -17,9 +17,9 @@ tolerance_pct=5
 
 # workload     metric                reference
 references='
-paper_l6       alloc_words_per_item  190.3
+paper_l6       alloc_words_per_item  186.7
 paper_l6       db_mb                 9.8377
-served_mix     alloc_words_per_item  3683
+served_mix     alloc_words_per_item  3293
 served_mix     db_mb                 1.9941
 '
 

@@ -550,6 +550,9 @@ let t5 () =
     let layout, _ =
       GenD.generate ~cluster b ~doc:1 ~leaf_level:level ~seed:cfg.seed
     in
+    (* Settle the heap first: generation leaves major-GC work behind,
+       and whichever operation is timed first would pay for it. *)
+    Gc.full_major ();
     let m10 = ProtoD.run_op ~config b layout "10" in
     let m14 = ProtoD.run_op ~config b layout "14" in
     Dsk.clear_caches b;

@@ -3,8 +3,8 @@
     Architecture: a page file accessed through a CLOCK buffer pool; node
     records in a slotted-page heap with overflow chains; a persistent
     object table mapping OIDs to relocatable records; B+tree indexes on
-    uniqueId, hundred and million; a write-ahead log with before/after
-    page images giving atomic commit, abort and crash recovery (R10);
+    uniqueId, hundred and million; a write-ahead log of changed byte
+    ranges giving atomic commit, abort and crash recovery (R10);
     optional physical clustering along the 1-N hierarchy (§5.2); and an
     optional simulated workstation/server channel (R6) that charges
     network and server-disk latency to the virtual clock on every page

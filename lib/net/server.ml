@@ -388,15 +388,20 @@ let join_all t =
   in
   drain_threads ()
 
-let drain ?(grace_s = 5.0) t =
-  locked t (fun () ->
-      t.drain_grace <- grace_s;
-      t.draining <- true);
+(* The end of both [drain] and [kill]: wait for every thread, then
+   remove the socket file a Unix-domain listener left behind. *)
+let teardown t =
   join_all t;
   match t.address with
   | Netaddr.Unix_sock path -> (
     try Unix.unlink path with Unix.Unix_error _ -> ())
   | Netaddr.Tcp _ -> ()
+
+let drain ?(grace_s = 5.0) t =
+  locked t (fun () ->
+      t.drain_grace <- grace_s;
+      t.draining <- true);
+  teardown t
 
 let kill t =
   locked t (fun () -> t.killed <- true);
@@ -406,4 +411,4 @@ let kill t =
      need the list to notice [killed]. *)
   let sessions = locked t (fun () -> t.sessions) in
   List.iter (fun s -> close_quiet s.fd) sessions;
-  join_all t
+  teardown t

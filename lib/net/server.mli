@@ -66,7 +66,8 @@ val drain : ?grace_s:float -> t -> unit
 
 val kill : t -> unit
 (** Abrupt shutdown: close every socket now, send nothing, leave the
-    engine alone.  Blocks until the threads have exited. *)
+    engine alone.  Blocks until the threads have exited, then removes a
+    Unix socket file the server bound, as {!drain} does. *)
 
 val crashed : t -> exn option
 (** The reraised exception that killed the server, if any. *)

@@ -11,9 +11,9 @@ type t =
   | Nak of { epoch : int; lsn : int }
   | Fence of { epoch : int }
 
-(* 0xB3 marked the previous layout, whose trailer was a 30-bit rolling
-   hash; such frames now fail the magic check. *)
-let frame_magic = 0xB4
+(* Earlier layouts fail the magic check: 0xB3 had a 30-bit rolling-hash
+   trailer, 0xB4 shipped WAL records carrying whole-page images. *)
+let frame_magic = 0xB5
 
 module Page = Hyper_storage.Page
 

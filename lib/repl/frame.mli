@@ -13,7 +13,7 @@
     over the whole message.  [base_lsn] is the LSN of the payload's
     first record.
 
-    Layout: a magic byte ([0xB4]), a tag byte, then the little-endian u32 fields
+    Layout: a magic byte ([0xB5]), a tag byte, then the little-endian u32 fields
     of the variant (byte strings as u32 length plus bytes), then a full
     32-bit CRC-32 ({!Hyper_storage.Page.checksum}) of everything before
     it.

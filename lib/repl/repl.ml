@@ -81,7 +81,7 @@ module Replica = struct
     mutable rlog : Wal.t;
     (* the (single, serial) transaction currently being streamed *)
     mutable cur_txn : int option;
-    mutable cur_writes : (int * bytes) list; (* reversed *)
+    mutable cur_writes : Wal.entry list; (* its After records, reversed *)
   }
 
   let rlog_path path = path ^ ".rlog"
@@ -133,29 +133,23 @@ module Replica = struct
   let next_lsn t = t.next_lsn
   let applied_commits t = t.applied_commits
 
-  let ensure_page t id =
-    while Pager.page_count t.pager <= id do
-      ignore (Pager.allocate t.pager)
-    done
-
-  (* Continuous redo: collect the streamed transaction's after-images
-     and apply them when (and only when) its commit record arrives.
-     The primary runs one write transaction at a time, so the stream
-     never interleaves transactions. *)
+  (* Continuous redo: collect the streamed transaction's After records
+     and patch them in, with crash recovery's log-order resolution,
+     when (and only when) its commit record arrives.  The primary runs
+     one write transaction at a time, so the stream never interleaves
+     transactions. *)
   let redo_record t e =
     match e with
     | Wal.Begin id ->
       t.cur_txn <- Some id;
       t.cur_writes <- []
-    | Wal.After (id, page, img) ->
-      if t.cur_txn = Some id then t.cur_writes <- (page, img) :: t.cur_writes
+    | Wal.After (id, _, _) ->
+      if t.cur_txn = Some id then t.cur_writes <- e :: t.cur_writes
     | Wal.Commit id ->
       if t.cur_txn = Some id then begin
-        List.iter
-          (fun (page, img) ->
-            ensure_page t page;
-            Pager.write t.pager page img)
-          (List.rev t.cur_writes);
+        ignore
+          (Recovery.apply_log (List.rev (e :: t.cur_writes)) t.pager
+            : int * int);
         Obs.Counter.add m_redo (List.length t.cur_writes);
         t.cur_txn <- None;
         t.cur_writes <- [];
@@ -282,11 +276,7 @@ module Replica = struct
     t.base_commits <- base_commits;
     let scan = Wal.scan ~vfs:t.vfs (rlog_path t.path) in
     t.pager <- Pager.create ~vfs:t.vfs t.path;
-    let _redone, _undone =
-      Recovery.apply_log scan.Wal.entries ~write:(fun page img ->
-          ensure_page t page;
-          Pager.write t.pager page img)
-    in
+    let _redone, _undone = Recovery.apply_log scan.Wal.entries t.pager in
     Pager.sync t.pager;
     t.rlog <- Wal.open_ ~vfs:t.vfs (rlog_path t.path);
     t.next_lsn <- base_lsn + List.length scan.Wal.entries;
@@ -298,7 +288,7 @@ module Replica = struct
              scan.Wal.entries);
     (* A torn frame can leave the clean log mid-transaction; rebuild the
        in-flight collection state so the resent commit record still
-       finds its after-images and applies them. *)
+       finds its After ranges and applies them. *)
     t.cur_txn <- None;
     t.cur_writes <- [];
     List.iter
@@ -307,8 +297,8 @@ module Replica = struct
         | Wal.Begin id ->
           t.cur_txn <- Some id;
           t.cur_writes <- []
-        | Wal.After (id, page, img) ->
-          if t.cur_txn = Some id then t.cur_writes <- (page, img) :: t.cur_writes
+        | Wal.After (id, _, _) ->
+          if t.cur_txn = Some id then t.cur_writes <- e :: t.cur_writes
         | Wal.Commit id ->
           if t.cur_txn = Some id then begin
             t.cur_txn <- None;
@@ -495,7 +485,10 @@ module Cluster = struct
   (* Catch a peer up from its acked position: ship the retained log
      tail when it still covers the gap and the gap is modest, else fall
      back to a full snapshot copy (checkpointing first so the data file
-     holds everything). *)
+     holds everything).  Never snapshot inside a transaction: the data
+     file may hold its stolen, uncommitted pages, and the snapshot's LSN
+     would skip its Begin, so the replica would drop its Commit.  The
+     next commit hook catches the peer up. *)
   let catch_up t peer =
     let lag = t.next_lsn - peer.acked_lsn in
     if lag <= 0 then ()
@@ -510,11 +503,12 @@ module Cluster = struct
             send_to t peer
               (Frame.Append
                  { epoch = t.epoch; base_lsn = peer.acked_lsn; payload }))
+      | None when Engine.in_txn t.engine -> ()
       | None ->
         t.counters.snapshots <- t.counters.snapshots + 1;
         Obs.Counter.incr m_snapshots;
         Obs.Span.with_span "repl.catchup.snapshot" (fun () ->
-            if not (Engine.in_txn t.engine) then Engine.checkpoint t.engine;
+            Engine.checkpoint t.engine;
             send_to t peer
               (Frame.Snapshot
                  { epoch = t.epoch; lsn = t.next_lsn; commits = t.commits;

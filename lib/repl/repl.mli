@@ -4,9 +4,9 @@
     ({!Hyper_storage.Wal.set_on_append}) and ships every record, in its
     on-disk encoding, to N replicas over {!Hyper_net.Channel.Link}
     message links.  Each replica appends the records to its own
-    received log, syncs it, applies committed transactions' images to
-    its pager (continuous redo — the same log-order image resolution
-    crash recovery uses), and acknowledges.  The engine's commit hook
+    received log, syncs it, patches committed transactions' byte ranges
+    into its pager (continuous redo — the same log-order patching crash
+    recovery uses), and acknowledges.  The engine's commit hook
     then gates the commit on the cluster's ack {!policy}.
 
     Failure handling is the point:

@@ -52,9 +52,9 @@ type t = {
   mutable hand : int;
   mutable on_first_dirty : int -> bytes -> unit;
   mutable on_evict_dirty : int -> bytes -> unit;
-  (* pages already reported to [on_first_dirty] since the last
-     [take_dirty_set] *)
-  first_dirty_seen : (int, unit) Hashtbl.t;
+  (* the resident frames with [dirty] set, so commit-time walks cost
+     the pages written, not the pages cached *)
+  dirty_set : (int, frame) Hashtbl.t;
   mutable pinned : int; (* frames with pins > 0; bounds prefetch batches *)
   stats : stats;
 }
@@ -81,7 +81,7 @@ let create pager ~capacity =
       ring = Array.make capacity empty; free = Array.make capacity 0;
       nfree = 0; hand = 0;
       on_first_dirty = no_hook; on_evict_dirty = no_hook;
-      first_dirty_seen = Hashtbl.create 64; pinned = 0;
+      dirty_set = Hashtbl.create 64; pinned = 0;
       stats = { hits = 0; misses = 0; evictions = 0; prefetches = 0 } }
   in
   clear_ring t;
@@ -97,9 +97,11 @@ let install t page_id ~data ~owned ~dirty =
   let f = { page_id; slot; data; owned; dirty; pins = 0; referenced = true } in
   t.ring.(slot) <- f;
   Hashtbl.add t.frames page_id f;
+  if dirty then Hashtbl.replace t.dirty_set page_id f;
   f
 
 let release t f =
+  if f.dirty then Hashtbl.remove t.dirty_set f.page_id;
   Hashtbl.remove t.frames f.page_id;
   t.ring.(f.slot) <- empty;
   t.free.(t.nfree) <- f.slot;
@@ -108,7 +110,8 @@ let release t f =
 let write_back t f =
   if f.dirty then begin
     Pager.write t.pager f.page_id f.data;
-    f.dirty <- false
+    f.dirty <- false;
+    Hashtbl.remove t.dirty_set f.page_id
   end
 
 (* Evict the unpinned frame the CLOCK hand stops at.  Dirty victims are
@@ -180,17 +183,17 @@ let unshare f =
     f.owned <- true
   end
 
-(* The before-image is the frame content prior to the first write in the
-   current txn window.  The hook receives the LIVE buffer — it must
-   serialize or copy what it retains before returning, because the
+(* A clean frame holds what the data file holds, so its content when it
+   is first dirtied is the before-image.  The hook receives the LIVE
+   buffer — it must copy what it retains before returning, because the
    caller mutates the page next. *)
 let mark_dirty t f =
-  if not (Hashtbl.mem t.first_dirty_seen f.page_id) then begin
-    Hashtbl.add t.first_dirty_seen f.page_id ();
-    t.on_first_dirty f.page_id f.data
-  end;
-  unshare f;
-  f.dirty <- true
+  if not f.dirty then begin
+    t.on_first_dirty f.page_id f.data;
+    unshare f;
+    f.dirty <- true;
+    Hashtbl.replace t.dirty_set f.page_id f
+  end
 
 let with_page_w t page_id k =
   with_pinned t page_id (fun f ->
@@ -270,15 +273,18 @@ let zero_page = lazy (Page.alloc ())
 let allocate t =
   let page_id = Pager.allocate t.pager in
   ensure_room t;
+  t.on_first_dirty page_id (Lazy.force zero_page);
   ignore (install t page_id ~data:(Page.alloc ()) ~owned:true ~dirty:true
           : frame);
-  if not (Hashtbl.mem t.first_dirty_seen page_id) then begin
-    Hashtbl.add t.first_dirty_seen page_id ();
-    t.on_first_dirty page_id (Lazy.force zero_page)
-  end;
   page_id
 
-let flush_all t = Hashtbl.iter (fun _ f -> write_back t f) t.frames
+(* The dirty frames in page order (a deterministic write order). *)
+let dirty_frames t =
+  List.sort
+    (fun a b -> compare a.page_id b.page_id)
+    (Hashtbl.fold (fun _ f acc -> f :: acc) t.dirty_set [])
+
+let flush_all t = List.iter (write_back t) (dirty_frames t)
 
 let drop_all t =
   Hashtbl.iter
@@ -287,15 +293,9 @@ let drop_all t =
     t.frames;
   flush_all t;
   Hashtbl.reset t.frames;
-  clear_ring t;
-  Hashtbl.reset t.first_dirty_seen
+  clear_ring t
 
-let discard_dirty t =
-  let dirty =
-    Hashtbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
-  in
-  List.iter (release t) dirty;
-  Hashtbl.reset t.first_dirty_seen
+let discard_dirty t = List.iter (release t) (dirty_frames t)
 
 let invalidate t page_id =
   match Hashtbl.find_opt t.frames page_id with
@@ -313,17 +313,9 @@ let clear_txn_hooks t =
 (* Live buffers: a dirty frame always owns its data (COW in mark_dirty),
    so the returned bytes are the frame contents themselves, valid until
    the page is next mutated.  Callers serialize immediately (the engine
-   appends After images to the WAL before returning to user code) and
+   appends After ranges to the WAL before returning to user code) and
    must not retain them. *)
-let take_dirty_set t =
-  let dirty =
-    Hashtbl.fold
-      (fun id f acc ->
-        if f.dirty then (id, f.data) :: acc else acc)
-      t.frames []
-  in
-  Hashtbl.reset t.first_dirty_seen;
-  List.sort (fun (a, _) (b, _) -> compare a b) dirty
+let take_dirty_set t = List.map (fun f -> (f.page_id, f.data)) (dirty_frames t)
 
 let stats t = t.stats
 

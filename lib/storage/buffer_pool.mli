@@ -9,11 +9,16 @@
     accesses cannot evict it.  Dirty frames are written back on eviction
     (a "steal" policy) and on [flush_all].
 
+    The pool keeps a table of its dirty frames, so {!take_dirty_set},
+    {!flush_all} and {!discard_dirty} cost the pages written, not the
+    pages cached.
+
     Transactional hooks: [on_first_dirty] fires with the page's clean
-    before-image the first time a page is dirtied after the last
-    [take_dirty_set]; the disk backend uses it to capture undo images for
-    its write-ahead log.  [on_evict_dirty] fires just before a dirty page
-    is stolen so its after-image can be logged first (write-ahead rule).
+    before-image whenever a clean frame is dirtied (or a page is
+    allocated); the disk backend keeps the first one per transaction as
+    the base its commit-time WAL records are diffed against.
+    [on_evict_dirty] fires just before a dirty page is stolen so its
+    changes can be logged first (write-ahead rule).
 
     The buffer pool is the lever behind the benchmark's cold/warm
     distinction: [drop_all] empties the cache, which is what "close the
@@ -55,7 +60,7 @@ val allocate : t -> int
 (** Allocate a fresh page through the pager and cache it (dirty). *)
 
 val flush_all : t -> unit
-(** Write every dirty frame back; frames stay cached. *)
+(** Write every dirty frame back, in page order; frames stay cached. *)
 
 val drop_all : t -> unit
 (** Flush, then empty the cache entirely (cold-run reset).
@@ -75,16 +80,16 @@ val set_txn_hooks :
   unit
 (** Both hooks receive {e live} page buffers: [on_first_dirty] the
     page's clean before-image (mutated by the caller as soon as the
-    hook returns), [on_evict_dirty] the dirty after-image about to be
+    hook returns), [on_evict_dirty] the dirty image about to be
     written back.  A hook must serialize or copy what it retains before
     returning — appending to the WAL counts as serializing. *)
 
 val clear_txn_hooks : t -> unit
 
 val take_dirty_set : t -> (int * bytes) list
-(** Current dirty pages and contents (after-images for commit), and reset
-    the first-dirty tracking so subsequent writes fire [on_first_dirty]
-    again. Frames remain cached and dirty until flushed.
+(** Current dirty pages and contents in page order (the images a commit
+    diffs and logs).  Frames remain cached and dirty until flushed, so a
+    further write to one of them does not fire [on_first_dirty].
 
     The buffers are the live frame contents (dirty frames always own
     their buffer), valid until the page is next mutated: serialize them

@@ -15,7 +15,17 @@ let m_checkpoints =
   Obs.Counter.make "hyper_txn_checkpoints_total"
     ~help:"WAL-size-triggered checkpoints"
 
-type txn = { id : int; undo : (int, bytes) Hashtbl.t }
+(* [undo] holds each page's image from before the transaction's first
+   write to it (rollback restores it, steals log Before ranges from it);
+   [stolen] the image a steal last wrote to the data file.  A page's
+   next After record is diffed against its [stolen] image when it has
+   one, else its [undo] image: the image on disk, so the ranges cover
+   every byte a torn write of the page can get wrong. *)
+type txn = {
+  id : int;
+  undo : (int, bytes) Hashtbl.t;
+  stolen : (int, bytes) Hashtbl.t;
+}
 
 type t = {
   pager : Pager.t;
@@ -112,28 +122,53 @@ let current_txn t =
   | Some txn -> txn
   | None -> invalid_arg "Engine: no active transaction"
 
+(* Log [img]'s changes to [page] since its last logged image; a page
+   dirtied before the transaction began has no base and is logged
+   whole. *)
+let log_after t txn page img =
+  let base =
+    match Hashtbl.find_opt txn.stolen page with
+    | Some _ as b -> b
+    | None -> Hashtbl.find_opt txn.undo page
+  in
+  let rs =
+    match base with
+    | Some base -> Wal.ranges img (Wal.diff base img)
+    | None -> [ (0, img) ]
+  in
+  if rs <> [] then Wal.append t.wal (Wal.After (txn.id, page, rs))
+
 let begin_txn t =
   if t.read_only then raise (Storage_error.Error Storage_error.Read_only);
   if t.txn <> None then invalid_arg "Engine: nested transaction";
   t.txn_counter <- t.txn_counter + 1;
   Obs.Counter.incr m_begins;
-  let txn = { id = t.txn_counter; undo = Hashtbl.create 64 } in
+  let txn =
+    { id = t.txn_counter; undo = Hashtbl.create 16;
+      stolen = Hashtbl.create 1 }
+  in
   t.txn <- Some txn;
   Wal.append t.wal (Wal.Begin txn.id);
   Buffer_pool.set_txn_hooks t.pool
     ~on_first_dirty:(fun page img ->
-      if not (Hashtbl.mem txn.undo page) then begin
-        (* [img] is the live frame buffer (pool hook contract): the undo
-           set outlives this call, so snapshot it.  The WAL append
-           serializes the same snapshot before the caller mutates the
-           page. *)
-        let img = Bytes.copy img in
-        Hashtbl.add txn.undo page img;
-        Wal.append t.wal (Wal.Before (txn.id, page, img))
-      end)
+      (* [img] is the live frame buffer (pool hook contract): the undo
+         set outlives this call, so snapshot it.  A page stolen and
+         dirtied again keeps its first image. *)
+      if not (Hashtbl.mem txn.undo page) then
+        Hashtbl.add txn.undo page (Bytes.copy img))
     ~on_evict_dirty:(fun page img ->
-      (* Write-ahead rule: log the redo image before the steal hits disk. *)
-      Wal.append t.wal (Wal.After (txn.id, page, img));
+      (* Write-ahead rule: before an uncommitted page reaches the data
+         file, log the old bytes it overwrites (undo) and its changes
+         since the last logged image (redo, should the transaction
+         commit). *)
+      (match Hashtbl.find_opt txn.undo page with
+      | Some pre -> (
+        match Wal.diff pre img with
+        | [] -> ()
+        | spans -> Wal.append t.wal (Wal.Before (txn.id, page, Wal.ranges pre spans)))
+      | None -> ());
+      log_after t txn page img;
+      Hashtbl.replace txn.stolen page (Bytes.copy img);
       try Wal.flush t.wal
       with e when is_wal_full e ->
         t.read_only <- true;
@@ -165,7 +200,7 @@ let maybe_checkpoint t =
 
 type ticket = { txn_id : int; wait : unit -> unit }
 
-(* First phase of commit: log the after-images and the commit record,
+(* First phase of commit: log the After ranges and the commit record,
    issue (and, without a group scheduler, fsync) the log, flush the pool
    and leave the engine in a clean non-transactional state.  With a
    group scheduler the durability barrier is deferred: the returned
@@ -176,17 +211,16 @@ type ticket = { txn_id : int; wait : unit -> unit }
 
    Note the pool write-back can reach the data file before the group
    fsync.  That is safe under the FIFO write-back model (DESIGN.md §15):
-   the before/after images were issued to the log first, so any
-   persisted prefix that includes a page write also includes the undo
-   records recovery needs to roll an unacked transaction back. *)
+   the commit record was issued to the log first, so any persisted
+   prefix that includes one of these page writes also includes the
+   commit and its After ranges, and a page stolen earlier had its
+   Before ranges issued before its write. *)
 let take_ticket t =
   let txn = current_txn t in
   t.on_save ();
   let dirty = Buffer_pool.take_dirty_set t.pool in
   (try
-     List.iter
-       (fun (page, img) -> Wal.append t.wal (Wal.After (txn.id, page, img)))
-       dirty;
+     List.iter (fun (page, img) -> log_after t txn page img) dirty;
      Wal.append t.wal (Wal.Commit txn.id);
      (match t.group with
      | Some _ -> Wal.flush t.wal

@@ -3,11 +3,15 @@
     Bundles one pager, its buffer pool and its write-ahead log into a
     unit with ACID bracketing:
 
-    - [begin_txn] installs buffer-pool hooks that log before-images on
-      first-dirty and after-images on dirty steals (write-ahead rule);
+    - [begin_txn] installs buffer-pool hooks that keep each page's
+      pre-image on first dirty (nothing is logged then) and, when a
+      dirty page is stolen, log its undo ranges (the old bytes it
+      overwrites) and redo ranges before it is written (write-ahead
+      rule);
     - [commit] calls the owner's [on_save] hook (persist roots into the
-      meta page), logs after-images of all dirty pages, seals the log,
-      and force-flushes the pool;
+      meta page), logs one [After] record per dirty page holding the
+      byte ranges that changed since the page's last logged image,
+      seals the log, and force-flushes the pool;
     - [abort] discards in-pool writes, restores stolen pages from the
       undo set, and calls the owner's [on_reload] hook so in-memory roots
       (B+tree roots, heap tails, counters) are re-attached from the meta
@@ -92,7 +96,7 @@ type ticket
 
 val commit_ticket : t -> ticket
 (** First phase of {!commit}: everything up to (but not including) the
-    group durability barrier — after-images and the commit record are
+    group durability barrier — the [After] ranges and the commit record are
     logged and issued, the pool is flushed, the engine is back in a
     clean non-transactional state.  Without a group scheduler the fsync
     (or plain flush) already happened and the ticket is trivially

@@ -14,9 +14,10 @@
 
     Correctness rests on two orderings, both established by the caller:
     flush-before-register (so the snapshot covers every member's bytes)
-    and the write-ahead rule (before-images flushed before any page
-    write-back), which is what lets a crash between the page writes and
-    the group fsync roll unacked members back on recovery.
+    and the write-ahead rule (a page's records flushed before its
+    write-back, with undo ranges for a steal), which is what lets a
+    crash between the page writes and the group fsync roll unacked
+    members back on recovery.
 
     Failure: if the group fsync raises (full disk, injected crash), the
     scheduler is poisoned — the exception propagates to every current

@@ -49,7 +49,7 @@ let load pool =
           pos := !pos + 1 + klen + 8;
           (key, value)))
 
-let store pool kvs =
+let write pool kvs =
   Buffer_pool.with_page_w pool 0 (fun page ->
       if not (check page) then invalid_arg "Meta.store: not a formatted store";
       let pos = ref header in
@@ -65,6 +65,12 @@ let store pool kvs =
           pos := !pos + 1 + klen + 8)
         kvs;
       Page.set_u16 page 8 (List.length kvs))
+
+(* Called on every commit: when page 0 already holds [kvs] it is left
+   clean, so the commit neither logs nor writes it.  [write] lays the
+   map out in order from [header], so an equal decoded map means equal
+   bytes. *)
+let store pool kvs = if load pool <> kvs then write pool kvs
 
 let get pool key = List.assoc_opt key (load pool)
 

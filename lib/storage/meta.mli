@@ -27,8 +27,10 @@ val load : Buffer_pool.t -> (string * int64) list
 (** @raise Invalid_argument when page 0 has no valid meta signature. *)
 
 val store : Buffer_pool.t -> (string * int64) list -> unit
-(** Replace the whole map.  @raise Invalid_argument when it does not fit
-    in one page or a key is longer than 255 bytes. *)
+(** Replace the whole map.  When page 0 already holds exactly [kvs] it
+    is not dirtied, so a commit that changed no root neither logs nor
+    writes it.  @raise Invalid_argument when it does not fit in one page
+    or a key is longer than 255 bytes. *)
 
 val get : Buffer_pool.t -> string -> int64 option
 val get_exn : Buffer_pool.t -> string -> int64

@@ -5,11 +5,11 @@ let m_runs =
 
 let m_redone =
   Obs.Counter.make "hyper_recovery_pages_redone_total"
-    ~help:"pages restored from committed redo images"
+    ~help:"pages patched last by a committed transaction's redo ranges"
 
 let m_undone =
   Obs.Counter.make "hyper_recovery_pages_undone_total"
-    ~help:"pages restored from uncommitted undo images"
+    ~help:"pages patched last by an uncommitted transaction's undo ranges"
 
 type report = {
   committed : int list;
@@ -26,50 +26,65 @@ let after_last_checkpoint entries =
   in
   strip [] entries
 
-(* Resolve each page to its latest image in LOG ORDER: committed
-   transactions contribute their redo (After) images, transactions
-   without a commit record contribute their undo (Before) images, and
-   whichever record came later in the log supersedes the earlier one.
-   Separate redo-then-undo passes are wrong here: a transaction that
-   aborted cleanly long before the crash also has no commit record,
-   and replaying its before-images *after* the redo pass would clobber
-   pages that later committed transactions rewrote — its images are
-   only current up to the point in the log where it ran.  Applying in
-   log order makes a later committed After win over a stale Before,
-   while a transaction still in flight at the crash (whose records end
-   the log) is undone exactly as before.
+(* Apply, per page and in LOG ORDER, the ranges of committed
+   transactions' After records and of uncommitted transactions' Before
+   records.  Separate redo-then-undo passes are wrong here: a transaction
+   that aborted cleanly long before the crash also has no commit record,
+   and replaying its before-ranges *after* the redo pass would clobber
+   pages that later committed transactions rewrote — its ranges are only
+   current up to the point in the log where it ran.  Applying in log
+   order makes a later committed After win over a stale Before, while a
+   transaction still in flight at the crash (whose records end the log)
+   is undone.
+
+   Each record's ranges cover every byte where the page's next image
+   differs from the image before it, so whatever mix of those images a
+   crash left on disk (a torn write included), patching in log order
+   ends at the last image: bytes no record covers are equal in all of
+   them.  Pages are therefore read unverified — a torn page fails its
+   checksum until patched — and written back through [Pager.write],
+   which rewrites the checksum.  A page the log mentions past the end of
+   the file is first extended with zero pages (a torn log can name pages
+   the data file never received).
 
    Shared with replication: a replica replaying its received log is
    exactly this resolution over a log whose tail may lack a commit. *)
-let apply_log entries ~write =
+let apply_log entries pager =
   let committed = Hashtbl.create 8 in
   List.iter
     (function
       | Wal.Commit t -> Hashtbl.replace committed t ()
       | Wal.Begin _ | Wal.Before _ | Wal.After _ | Wal.Checkpoint -> ())
     entries;
-  let final = Hashtbl.create 64 in
+  (* page -> its applicable records, newest first *)
+  let per_page = Hashtbl.create 64 in
+  let add p r =
+    Hashtbl.replace per_page p
+      (r :: Option.value (Hashtbl.find_opt per_page p) ~default:[])
+  in
   List.iter
     (function
-      | Wal.After (t, p, img) when Hashtbl.mem committed t ->
-        Hashtbl.replace final p (`Redo img)
-      | Wal.Before (t, p, img) when not (Hashtbl.mem committed t) ->
-        Hashtbl.replace final p (`Undo img)
+      | Wal.After (t, p, rs) when Hashtbl.mem committed t -> add p (`Redo, rs)
+      | Wal.Before (t, p, rs) when not (Hashtbl.mem committed t) ->
+        add p (`Undo, rs)
       | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint | Wal.Before _
       | Wal.After _ -> ())
     entries;
   let redone = ref 0 in
   let undone = ref 0 in
   Hashtbl.iter
-    (fun p action ->
-      match action with
-      | `Redo img ->
-        write p img;
-        incr redone
-      | `Undo img ->
-        write p img;
-        incr undone)
-    final;
+    (fun p records ->
+      while Pager.page_count pager <= p do
+        ignore (Pager.allocate pager)
+      done;
+      let img = Pager.read_unverified pager p in
+      List.iter (fun (_, rs) -> Wal.patch img rs) (List.rev records);
+      Pager.write pager p img;
+      match records with
+      | (`Redo, _) :: _ -> incr redone
+      | (`Undo, _) :: _ -> incr undone
+      | [] -> ())
+    per_page;
   (!redone, !undone)
 
 let recover ?(vfs = Vfs.real) ~wal_path pager =
@@ -82,16 +97,7 @@ let recover ?(vfs = Vfs.real) ~wal_path pager =
       | Wal.Commit t -> Hashtbl.replace committed t ()
       | Wal.Before _ | Wal.After _ | Wal.Checkpoint -> ())
     entries;
-  let ensure_page id =
-    while Pager.page_count pager <= id do
-      ignore (Pager.allocate pager)
-    done
-  in
-  let redone, undone =
-    apply_log entries ~write:(fun p img ->
-        ensure_page p;
-        Pager.write pager p img)
-  in
+  let redone, undone = apply_log entries pager in
   Obs.Counter.incr m_runs;
   Obs.Counter.add m_redone redone;
   Obs.Counter.add m_undone undone;

@@ -22,10 +22,12 @@ let g_size =
   Obs.Gauge.make "hyper_wal_size_bytes"
     ~help:"bytes issued to the log file since the last truncate"
 
+type range = int * bytes
+
 type entry =
   | Begin of int
-  | Before of int * int * bytes
-  | After of int * int * bytes
+  | Before of int * int * range list
+  | After of int * int * range list
   | Commit of int
   | Checkpoint
 
@@ -39,10 +41,11 @@ type t = {
   mutable on_append : (int -> entry -> unit) option; (* stream cursor *)
 }
 
-(* 0xA7 marked the previous record format, whose trailer was a weak
-   rolling hash; see [check_format]. *)
-let entry_magic = 0xA8
-let legacy_entry_magic = 0xA7
+(* Every earlier record format used a magic in [first_entry_magic ..
+   entry_magic - 1]: 0xA7 had a weak rolling-hash trailer, 0xA8 carried
+   whole-page images.  See [check_format]. *)
+let entry_magic = 0xA9
+let first_entry_magic = 0xA7
 
 let kind_of = function
   | Begin _ -> 1
@@ -51,9 +54,9 @@ let kind_of = function
   | Commit _ -> 4
   | Checkpoint -> 5
 
-let payload_of = function
-  | Begin _ | Commit _ | Checkpoint -> Bytes.empty
-  | Before (_, _, img) | After (_, _, img) -> img
+let ranges_of = function
+  | Begin _ | Commit _ | Checkpoint -> []
+  | Before (_, _, rs) | After (_, _, rs) -> rs
 
 let ids_of = function
   | Begin t -> (t, 0)
@@ -62,36 +65,92 @@ let ids_of = function
   | Before (t, p, _) -> (t, p)
   | After (t, p, _) -> (t, p)
 
+(* --- byte ranges --- *)
+
+(* A range is [u16 offset][u16 length][bytes]; merging two spans costs
+   the equal bytes between them, a separate range costs this header. *)
+let range_header = 4
+
+(* Spans where [cur] differs from [old], as (offset, length), in page
+   order.  Spans separated by at most [range_header] equal bytes are
+   merged: the merged range is never longer than the two apart.  Equal
+   stretches are skipped eight bytes at a time. *)
+let diff old cur =
+  let n = Bytes.length cur in
+  if Bytes.length old <> n then invalid_arg "Wal.diff: length mismatch";
+  let spans = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 8 <= n
+       && (Bytes.get_int64_ne old !i : int64) = Bytes.get_int64_ne cur !i
+    then i := !i + 8
+    else if Bytes.unsafe_get old !i = Bytes.unsafe_get cur !i then incr i
+    else begin
+      let start = !i in
+      let last = ref start in
+      incr i;
+      while !i < n && !i - !last <= range_header do
+        if Bytes.unsafe_get old !i <> Bytes.unsafe_get cur !i then last := !i;
+        incr i
+      done;
+      spans := (start, !last - start + 1) :: !spans
+    end
+  done;
+  List.rev !spans
+
+let ranges src spans =
+  List.map (fun (off, len) -> (off, Bytes.sub src off len)) spans
+
+let patch page rs =
+  List.iter (fun (off, b) -> Bytes.blit b 0 page off (Bytes.length b)) rs
+
+let payload_length rs =
+  List.fold_left (fun acc (_, b) -> acc + range_header + Bytes.length b) 0 rs
+
+(* The ranges of a payload at [data.(pos .. pos + len)], or [None] when
+   they do not tile it exactly or leave the page. *)
+let decode_ranges data pos len =
+  let stop = pos + len in
+  let rec go p acc =
+    if p = stop then Some (List.rev acc)
+    else if p + range_header > stop then None
+    else
+      let off = Page.get_u16 data p and rlen = Page.get_u16 data (p + 2) in
+      let body = p + range_header in
+      if body + rlen > stop || off + rlen > Page.size then None
+      else go (body + rlen) ((off, Bytes.sub data body rlen) :: acc)
+  in
+  go pos []
+
 let header_bytes = 14
 
-let encode_header e plen =
+(* The exact on-disk (and on-wire) representation of one record: a
+   14-byte header, the ranges, and one CRC-32 over both.  Replication
+   ships these bytes verbatim, so a shipped frame carries the same
+   per-record checksum the log file does. *)
+let encode_entry e =
+  let rs = ranges_of e in
+  let plen = payload_length rs in
   let txn, page = ids_of e in
-  let b = Bytes.create header_bytes in
+  let body = header_bytes + plen in
+  let b = Bytes.create (body + 4) in
   Page.set_u8 b 0 entry_magic;
   Page.set_u8 b 1 (kind_of e);
   Page.set_u32 b 2 txn;
   Page.set_u32 b 6 page;
   Page.set_u32 b 10 plen;
-  b
-
-(* The record CRC: one CRC-32 over header then payload, computed in
-   place over the two buffers. *)
-let record_crc hdr payload =
-  Page.checksum_update (Page.checksum hdr) payload ~pos:0
-    ~len:(Bytes.length payload)
-
-(* The exact on-disk (and on-wire) representation of one record:
-   header, payload, record CRC.  Replication ships these bytes verbatim,
-   so a shipped frame carries the same per-record checksum the log file
-   does. *)
-let encode_entry e =
-  let payload = payload_of e in
-  let plen = Bytes.length payload in
-  let hdr = encode_header e plen in
-  let b = Bytes.create (header_bytes + plen + 4) in
-  Bytes.blit hdr 0 b 0 header_bytes;
-  Bytes.blit payload 0 b header_bytes plen;
-  Page.set_u32 b (header_bytes + plen) (record_crc hdr payload);
+  let pos = ref header_bytes in
+  List.iter
+    (fun (off, r) ->
+      let len = Bytes.length r in
+      if off < 0 || off + len > Page.size then
+        invalid_arg "Wal.encode_entry: range outside the page";
+      Page.set_u16 b !pos off;
+      Page.set_u16 b (!pos + 2) len;
+      Bytes.blit r 0 b (!pos + range_header) len;
+      pos := !pos + range_header + len)
+    rs;
+  Page.set_u32 b body (Page.checksum_update 0 b ~pos:0 ~len:body);
   b
 
 (* Decode the clean prefix of [data.(0 .. len)]: entries plus the byte
@@ -116,14 +175,16 @@ let decode_prefix data len =
         <> Page.checksum_update 0 data ~pos:hdr ~len:body
       then ok := false
       else
-        let payload () = Bytes.sub data (hdr + header_bytes) plen in
+        let with_ranges k =
+          Option.map k (decode_ranges data (hdr + header_bytes) plen)
+        in
         let entry =
           match kind with
-          | 1 -> Some (Begin txn)
-          | 2 -> Some (Before (txn, page, payload ()))
-          | 3 -> Some (After (txn, page, payload ()))
-          | 4 -> Some (Commit txn)
-          | 5 -> Some Checkpoint
+          | 1 when plen = 0 -> Some (Begin txn)
+          | 2 -> with_ranges (fun rs -> Before (txn, page, rs))
+          | 3 -> with_ranges (fun rs -> After (txn, page, rs))
+          | 4 when plen = 0 -> Some (Commit txn)
+          | 5 when plen = 0 -> Some Checkpoint
           | _ -> None
         in
         match entry with
@@ -139,16 +200,19 @@ let decode_entries b =
   let entries, pos = decode_prefix b (Bytes.length b) in
   (entries, pos < Bytes.length b)
 
-(* A log written in the previous record format is refused, not read as
-   a torn tail: truncating it would drop committed transactions whose
+(* A log written in an earlier record format is refused, not read as a
+   torn tail: truncating it would drop committed transactions whose
    forced pages never reached the data file.  Only the first record is
    checked — a torn tail always starts with the current magic. *)
 let check_format path data len =
-  if len > 0 && Page.get_u8 data 0 = legacy_entry_magic then
-    raise
-      (Storage_error.Error
-         (Storage_error.Unsupported_format
-            { path; found = legacy_entry_magic; expected = entry_magic }))
+  if len > 0 then begin
+    let found = Page.get_u8 data 0 in
+    if found >= first_entry_magic && found < entry_magic then
+      raise
+        (Storage_error.Error
+           (Storage_error.Unsupported_format
+              { path; found; expected = entry_magic }))
+  end
 
 (* A torn final record — a crash mid-append — must be truncated away at
    open: appending past it would bury live records behind garbage that
@@ -180,18 +244,10 @@ let lsn t = t.next_lsn
 let set_on_append t hook = t.on_append <- hook
 
 let append t e =
-  (* Encode straight into the append buffer: one blit of the payload
-     instead of encode-into-scratch plus a second whole-record copy.
-     Byte-for-byte identical to [encode_entry]. *)
-  let payload = payload_of e in
-  let plen = Bytes.length payload in
-  let hdr = encode_header e plen in
-  Buffer.add_bytes t.buf hdr;
-  Buffer.add_bytes t.buf payload;
-  Buffer.add_int32_le t.buf (Int32.of_int (record_crc hdr payload));
-  let size = header_bytes + plen + 4 in
+  let record = encode_entry e in
+  Buffer.add_bytes t.buf record;
   Obs.Counter.incr m_appends;
-  Obs.Counter.add m_append_bytes size;
+  Obs.Counter.add m_append_bytes (Bytes.length record);
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   match t.on_append with None -> () | Some f -> f lsn e
@@ -258,9 +314,14 @@ let scan ?(vfs = Vfs.real) path =
 
 let read_all ?(vfs = Vfs.real) path = (scan ~vfs path).entries
 
-let entry_to_string = function
+let entry_to_string =
+  let spans rs =
+    String.concat ""
+      (List.map (fun (off, b) -> Printf.sprintf " %d+%d" off (Bytes.length b)) rs)
+  in
+  function
   | Begin t -> Printf.sprintf "begin(%d)" t
-  | Before (t, p, _) -> Printf.sprintf "before(%d, page %d)" t p
-  | After (t, p, _) -> Printf.sprintf "after(%d, page %d)" t p
+  | Before (t, p, rs) -> Printf.sprintf "before(%d, page %d:%s)" t p (spans rs)
+  | After (t, p, rs) -> Printf.sprintf "after(%d, page %d:%s)" t p (spans rs)
   | Commit t -> Printf.sprintf "commit(%d)" t
   | Checkpoint -> "checkpoint"

@@ -1,33 +1,55 @@
 (** Write-ahead log (R10: logging, backup and recovery).
 
-    ARIES-lite, page-granular:
+    Redo records of the bytes a transaction changed, plus undo records
+    for the pages the buffer pool steals before commit:
 
     - [Begin t] opens transaction [t];
-    - [Before (t, p, img)] is logged when [p] is first dirtied inside [t]
-      (undo image);
-    - [After (t, p, img)] is logged at commit for every dirty page, and
-      earlier if a dirty page must be stolen by the buffer pool (redo
-      image, honouring the write-ahead rule);
+    - [After (t, p, ranges)] carries the new bytes of every span of [p]
+      that [t] changed since the page's last logged image.  The engine
+      logs one per dirty page at commit (diffed against the page's
+      pre-image or last stolen image), and one when a dirty page is
+      stolen, before it is written (the write-ahead rule);
+    - [Before (t, p, ranges)] carries the bytes [p] held before [t] for
+      every span a steal is about to overwrite.  It is logged only on
+      steal: a page that never reaches the data file before commit needs
+      no undo;
     - [Commit t] seals the transaction;
     - [Checkpoint] states that all committed work has reached the main
       file, allowing log truncation.
 
     A record is a 14-byte header ({!entry_magic}, kind, txn, page,
     payload length), the payload, and a CRC-32 ({!Page.checksum}) over
-    header and payload.  {!read_all} stops cleanly at a torn or corrupt
-    tail, which is what makes crash-recovery tests meaningful. *)
+    header and payload.  An [After]/[Before] payload is its ranges back
+    to back, each a u16 page offset, a u16 length and the bytes.
+    {!read_all} stops cleanly at a torn or corrupt tail, which is what
+    makes crash-recovery tests meaningful. *)
+
+type range = int * bytes
+(** A page offset and the bytes found there. *)
 
 type entry =
   | Begin of int
-  | Before of int * int * bytes
-  | After of int * int * bytes
+  | Before of int * int * range list
+  | After of int * int * range list
   | Commit of int
   | Checkpoint
 
 val entry_magic : int
-(** First byte of every record.  A log whose first record carries the
-    previous format's magic is refused with
+(** First byte of every record ([0xA9]).  A log whose first record
+    carries an earlier format's magic ([0xA7], [0xA8]) is refused with
     {!Storage_error.Unsupported_format} by {!open_} and {!scan}. *)
+
+val diff : bytes -> bytes -> (int * int) list
+(** [diff old cur] lists the spans, as (offset, length) in ascending
+    order, where [cur] differs from [old]; spans at most 4 equal bytes
+    apart (a range header) are merged.  Equal buffers give [[]].
+    @raise Invalid_argument if the lengths differ. *)
+
+val ranges : bytes -> (int * int) list -> range list
+(** [ranges src spans] copies the bytes of [src] under each span. *)
+
+val patch : bytes -> range list -> unit
+(** Write each range's bytes into the page at its offset, in order. *)
 
 type t
 

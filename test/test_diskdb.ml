@@ -408,6 +408,42 @@ let test_form_edit_overflow_roundtrip () =
       check Alcotest.int "self-inverse" 0
         (Hyper_util.Bitmap.count_set (B.form b oid)))
 
+(* Every commit saves the roots into the meta page (page 0).  A commit
+   that changes no root must leave page 0 clean: no WAL record for it
+   and no pager write of it. *)
+let test_unchanged_roots_leave_meta_clean () =
+  with_db "meta" (fun b _ path ->
+      ignore (generate ~leaf_level:3 b);
+      let oid = 5 in
+      let pager = Hyper_storage.Engine.pager (B.engine b) in
+      let writes = ref [] in
+      Hyper_storage.Pager.set_hooks pager ~on_read:ignore
+        ~on_write:(fun id -> writes := id :: !writes);
+      B.begin_txn b;
+      B.set_hundred b oid ((B.hundred b oid mod 100) + 1);
+      B.commit b;
+      Hyper_storage.Pager.clear_hooks pager;
+      let rec last_txn acc = function
+        | [] -> acc
+        | (Hyper_storage.Wal.Begin _ as e) :: rest -> last_txn [ e ] rest
+        | e :: rest -> last_txn (acc @ [ e ]) rest
+      in
+      let txn =
+        last_txn [] (Hyper_storage.Wal.read_all (path ^ ".wal"))
+      in
+      let pages =
+        List.filter_map
+          (function
+            | Hyper_storage.Wal.After (_, p, _)
+            | Hyper_storage.Wal.Before (_, p, _) -> Some p
+            | _ -> None)
+          txn
+      in
+      check Alcotest.bool "the update logged some page" true (pages <> []);
+      check Alcotest.bool "the update wrote some page" true (!writes <> []);
+      check Alcotest.bool "no record for page 0" false (List.mem 0 pages);
+      check Alcotest.bool "no write of page 0" false (List.mem 0 !writes))
+
 let () =
   Alcotest.run "hyper_diskdb"
     [
@@ -432,6 +468,8 @@ let () =
             test_object_cache_semantics_and_savings;
           Alcotest.test_case "uid hash access path" `Quick
             test_uid_hash_index_access_path;
+          Alcotest.test_case "unchanged roots leave page 0 clean" `Quick
+            test_unchanged_roots_leave_meta_clean;
         ] );
       ( "physical design",
         [

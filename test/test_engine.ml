@@ -126,61 +126,51 @@ let test_checkpoint_truncates_wal () =
       ignore path)
 
 let test_wal_before_after_ordering () =
-  (* The WAL must contain Begin, then a Before for each first-dirty page,
-     then After images, then Commit. *)
-  let path = temp_path "order" in
-  let e = Engine.open_ ~path ~pool_pages:8 () in
-  let pool = Engine.pool e in
-  Engine.begin_txn e;
-  let id = Buffer_pool.allocate pool in
-  Buffer_pool.with_page_w pool id (fun p -> Bytes.fill p 0 4 'z');
-  Engine.commit e;
-  Engine.close e;
-  (* close checkpoints/truncates, so capture before closing: reopen path
-     is gone — instead re-run without close. *)
-  Sys.remove path;
-  Sys.remove (Pager.sum_path path);
-  Sys.remove (path ^ ".wal");
-  let e = Engine.open_ ~path ~pool_pages:8 () in
-  let pool = Engine.pool e in
-  Engine.begin_txn e;
-  let id = Buffer_pool.allocate pool in
-  Buffer_pool.with_page_w pool id (fun p -> Bytes.fill p 0 4 'z');
-  Engine.commit e;
-  let entries = Wal.read_all (path ^ ".wal") in
-  let kinds =
-    List.map
-      (function
-        | Wal.Begin _ -> "begin"
-        | Wal.Before _ -> "before"
-        | Wal.After _ -> "after"
-        | Wal.Commit _ -> "commit"
-        | Wal.Checkpoint -> "checkpoint")
-      entries
-  in
-  check Alcotest.bool "starts with begin" true (List.hd kinds = "begin");
-  check Alcotest.bool "ends with commit" true
-    (List.nth kinds (List.length kinds - 1) = "commit");
-  check Alcotest.bool "has before image" true (List.mem "before" kinds);
-  check Alcotest.bool "has after image" true (List.mem "after" kinds);
-  (* Every Before precedes every After for the same page set. *)
-  let first_after =
-    List.mapi (fun i k -> (i, k)) kinds
-    |> List.find_opt (fun (_, k) -> k = "after")
-  in
-  let last_before =
-    List.mapi (fun i k -> (i, k)) kinds
-    |> List.filter (fun (_, k) -> k = "before")
-    |> List.rev |> List.hd
-  in
-  (match (first_after, last_before) with
-  | Some (ia, _), (ib, _) ->
-    if ib > ia then Alcotest.fail "a Before appears after an After"
-  | None, _ -> ());
-  (try Engine.close e with _ -> ());
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    (Engine.files path)
+  (* A commit logs Begin, one After per changed page holding only the
+     changed bytes, then Commit.  A Before is logged only when a dirty
+     page is stolen, right before that page's After. *)
+  with_engine ~pool_pages:4 "order" (fun e path ->
+      let pool = Engine.pool e in
+      Engine.begin_txn e;
+      let id = Buffer_pool.allocate pool in
+      Buffer_pool.with_page_w pool id (fun p -> Bytes.fill p 0 4 'z');
+      Engine.commit e;
+      let entries () = Wal.read_all (path ^ ".wal") in
+      check
+        (Alcotest.list Alcotest.string)
+        "no steal: begin, the 4 changed bytes, commit"
+        [ "begin(1)"; Printf.sprintf "after(1, page %d: 0+4)" id; "commit(1)" ]
+        (List.map Wal.entry_to_string (entries ()));
+      (* Six fresh dirty pages through a 4-frame pool: some are stolen. *)
+      Engine.begin_txn e;
+      for i = 0 to 5 do
+        let id = Buffer_pool.allocate pool in
+        Buffer_pool.with_page_w pool id (fun p ->
+            Bytes.fill p 100 4 (Char.chr (Char.code 'a' + i)))
+      done;
+      Engine.commit e;
+      let txn2 = List.filteri (fun i _ -> i >= 3) (entries ()) in
+      check Alcotest.bool "begins" true (List.hd txn2 = Wal.Begin 2);
+      check Alcotest.bool "ends with commit" true
+        (List.nth txn2 (List.length txn2 - 1) = Wal.Commit 2);
+      let rec steals acc = function
+        | Wal.Before (2, p, rs) :: (Wal.After (2, p', _) :: _ as rest) ->
+          check Alcotest.int "the stolen page's After follows" p p';
+          check Alcotest.bool "old bytes of the written span" true
+            (rs = [ (100, Bytes.make 4 '\000') ]);
+          steals (acc + 1) rest
+        | Wal.Before _ :: _ -> Alcotest.fail "a Before without its After"
+        | _ :: rest -> steals acc rest
+        | [] -> acc
+      in
+      check Alcotest.bool "some page was stolen" true (steals 0 txn2 > 0);
+      List.iter
+        (function
+          | Wal.After (_, _, rs) ->
+            check Alcotest.int "only the written span" 4
+              (List.fold_left (fun a (_, b) -> a + Bytes.length b) 0 rs)
+          | _ -> ())
+        txn2)
 
 (* --- group commit --- *)
 

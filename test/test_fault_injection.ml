@@ -259,15 +259,19 @@ let test_checksum_detects_corruption () =
 (* --- torn WAL tails exactly on entry boundaries --- *)
 
 let wal_entry_bytes e =
-  (* header + payload + crc, mirroring the on-disk framing *)
-  14 + Bytes.length (match e with
-    | Wal.Before (_, _, img) | Wal.After (_, _, img) -> img
-    | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> Bytes.empty) + 4
+  (* header + ranges (4-byte range header + bytes each) + crc, mirroring
+     the on-disk framing *)
+  let ranges =
+    match e with
+    | Wal.Before (_, _, rs) | Wal.After (_, _, rs) -> rs
+    | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> []
+  in
+  14 + List.fold_left (fun a (_, b) -> a + 4 + Bytes.length b) 0 ranges + 4
 
 let test_torn_tail_on_entry_boundary () =
   let path = temp_path "tornwal" in
   cleanup path;
-  let img = Bytes.make Page.size 'w' in
+  let img = [ (0, Bytes.make Page.size 'w') ] in
   let entries =
     [ Wal.Begin 1; Wal.After (1, 0, img); Wal.Commit 1; Wal.Begin 2;
       Wal.After (2, 1, img) ]
@@ -314,7 +318,7 @@ let test_undo_beyond_page_count () =
   let path = temp_path "beyond" in
   cleanup path;
   let wal_path = path ^ ".wal" in
-  let img = Bytes.make Page.size 'u' in
+  let img = [ (0, Bytes.make Page.size 'u') ] in
   let wal = Wal.open_ wal_path in
   Wal.append wal (Wal.Begin 7);
   Wal.append wal (Wal.Before (7, 5, img)); (* page 5 of an empty file *)
@@ -335,6 +339,166 @@ let test_undo_beyond_page_count () =
   Pager.close pager;
   cleanup path;
   cleanup wal_path
+
+(* --- byte-range records: torn forced writes and stolen pages --- *)
+
+module Engine = Hyper_storage.Engine
+module Pool = Hyper_storage.Buffer_pool
+
+let range_path = "/ranges/db"
+
+let open_ranges vfs =
+  Engine.open_ ~vfs ~path:range_path ~pool_pages:4 ~durable_sync:true ()
+
+let write_span e id ~off ~len c =
+  Pool.with_page_w (Engine.pool e) id (fun p -> Bytes.fill p off len c)
+
+(* Pages [ids] reopened after a crash: each read verifies its checksum. *)
+let recovered_pages env ids =
+  F.set_plan env F.quiet;
+  let e = Engine.open_ ~vfs:(F.vfs env) ~path:range_path ~pool_pages:4 () in
+  let pages =
+    List.map (fun id -> Pool.with_page (Engine.pool e) id Bytes.copy) ids
+  in
+  Engine.close e;
+  pages
+
+(* [n] committed and checkpointed pages, page [i] filled with letter i. *)
+let committed_pages e n =
+  Engine.begin_txn e;
+  let ids = List.init n (fun _ -> Pool.allocate (Engine.pool e)) in
+  List.iteri
+    (fun i id -> write_span e id ~off:0 ~len:Page.size (Char.chr (97 + i)))
+    ids;
+  Engine.commit e;
+  Engine.checkpoint e;
+  ids
+
+let expect_crash f =
+  match f () with
+  | () -> false
+  | exception V.Crash -> true
+
+(* A crash tears the forced write of a committed page: the WAL holds
+   only the changed span, and recovery patches it into the torn page,
+   leaving one that verifies and holds the committed bytes. *)
+let test_torn_forced_write_patched () =
+  let torn = ref 0 in
+  for seed = 1 to 12 do
+    let env = F.create { F.quiet with F.seed = Int64.of_int seed } in
+    let e = open_ranges (F.vfs env) in
+    let id = List.hd (committed_pages e 1) in
+    Engine.begin_txn e;
+    write_span e id ~off:1000 ~len:2000 'b';
+    (* The commit's first mutating op appends the log, its second is
+       the forced page write. *)
+    F.arm_crash env ~after_writes:2 ();
+    check Alcotest.bool "crashed in the page write" true
+      (expect_crash (fun () -> Engine.commit e));
+    F.power_fail env;
+    let raw =
+      let pager = Pager.create ~vfs:(F.vfs env) range_path in
+      let b = Pager.read_unverified pager id in
+      Pager.close pager;
+      b
+    in
+    if Bytes.get raw 1000 = 'b' && Bytes.get raw 2999 = 'a' then incr torn;
+    let expected = Bytes.make Page.size 'a' in
+    Bytes.fill expected 1000 2000 'b';
+    match recovered_pages env [ id ] with
+    | [ page ] ->
+      check Alcotest.bool "committed bytes" true (Bytes.equal page expected)
+    | _ -> assert false
+  done;
+  check Alcotest.bool "some write tore inside the changed span" true
+    (!torn > 0)
+
+(* An aborted transaction's stolen pages: its Before ranges must undo a
+   steal the rollback never overwrote, and must not clobber a later
+   committed transaction that rewrote the same bytes. *)
+let test_steal_abort_crash () =
+  let scenario ~seed ~later_commit =
+    let env = F.create { F.quiet with F.seed = Int64.of_int seed } in
+    let e = open_ranges (F.vfs env) in
+    let ids = committed_pages e 8 in
+    let model =
+      List.mapi (fun i _ -> Bytes.make Page.size (Char.chr (97 + i))) ids
+    in
+    Engine.begin_txn e;
+    (* eight dirty pages through a four-frame pool: some are stolen *)
+    List.iter (fun id -> write_span e id ~off:100 ~len:100 'x') ids;
+    if later_commit then begin
+      Engine.abort e;
+      Engine.begin_txn e;
+      List.iter (fun id -> write_span e id ~off:150 ~len:100 'z') ids;
+      List.iter (fun m -> Bytes.fill m 150 100 'z') model;
+      Engine.commit e;
+      F.power_fail env
+    end
+    else begin
+      (* crash in the middle of the rollback's page writes *)
+      F.arm_crash env ~after_writes:(1 + (seed mod 8))
+        ~power_loss:(seed mod 2 = 0) ();
+      check Alcotest.bool "crashed in the rollback" true
+        (expect_crash (fun () -> Engine.abort e));
+      F.power_fail env
+    end;
+    List.iter2
+      (fun m page ->
+        check Alcotest.bool "page recovered" true (Bytes.equal m page))
+      model (recovered_pages env ids)
+  in
+  scenario ~seed:1 ~later_commit:true;
+  for seed = 1 to 8 do
+    scenario ~seed ~later_commit:false
+  done
+
+(* A committed transaction whose pages were stolen and then changed
+   again — some bytes back to their original value — crashed at every
+   write of its commit: recovery ends at the committed images or, when
+   the commit record did not survive, at the original ones. *)
+let test_steal_commit_crash () =
+  let scenario ~crash_at ~power_loss =
+    let env = F.create { F.quiet with F.seed = Int64.of_int crash_at } in
+    let e = open_ranges (F.vfs env) in
+    let ids = committed_pages e 8 in
+    let before =
+      List.mapi (fun i _ -> Bytes.make Page.size (Char.chr (97 + i))) ids
+    in
+    let after = List.map Bytes.copy before in
+    Engine.begin_txn e;
+    List.iter (fun id -> write_span e id ~off:100 ~len:100 'y') ids;
+    List.iter2
+      (fun id m ->
+        let orig = Bytes.get m 0 in
+        write_span e id ~off:120 ~len:10 orig;
+        write_span e id ~off:3000 ~len:10 'w')
+      ids before;
+    List.iter
+      (fun m ->
+        let orig = Bytes.get m 0 in
+        Bytes.fill m 100 100 'y';
+        Bytes.fill m 120 10 orig;
+        Bytes.fill m 3000 10 'w')
+      after;
+    F.arm_crash env ~after_writes:crash_at ~power_loss ();
+    let crashed = expect_crash (fun () -> Engine.commit e) in
+    F.power_fail env;
+    let pages = recovered_pages env ids in
+    let matches model = List.for_all2 Bytes.equal model pages in
+    if crashed && crash_at = 1 && not power_loss then
+      check Alcotest.bool "log append torn: rolled back" true (matches before)
+    else if crashed && not power_loss then
+      check Alcotest.bool "commit record durable: committed" true
+        (matches after)
+    else
+      check Alcotest.bool "all or nothing" true
+        (matches after || matches before)
+  in
+  for crash_at = 1 to 10 do
+    scenario ~crash_at ~power_loss:false;
+    scenario ~crash_at ~power_loss:true
+  done
 
 (* --- the I/O seam: no direct Unix calls outside the VFS layer --- *)
 
@@ -394,6 +558,12 @@ let () =
             test_checksum_detects_corruption;
           Alcotest.test_case "torn WAL tail on entry boundary" `Quick
             test_torn_tail_on_entry_boundary;
+          Alcotest.test_case "torn forced page write patched" `Quick
+            test_torn_forced_write_patched;
+          Alcotest.test_case "steal, abort, crash" `Quick
+            test_steal_abort_crash;
+          Alcotest.test_case "steal, commit, crash" `Quick
+            test_steal_commit_crash;
           Alcotest.test_case "undo image beyond page count" `Quick
             test_undo_beyond_page_count;
           Alcotest.test_case "no direct I/O outside the VFS" `Quick

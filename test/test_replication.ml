@@ -47,13 +47,13 @@ let test_torn_tail () =
   let vfs = Vfs.Faulty.vfs env in
   let wal = Wal.open_ ~vfs "/t/log" in
   let entries =
-    [ Wal.Begin 1; Wal.After (1, 0, Bytes.make 16 'a'); Wal.Commit 1 ]
+    [ Wal.Begin 1; Wal.After (1, 0, [ (0, Bytes.make 16 'a') ]); Wal.Commit 1 ]
   in
   List.iter (Wal.append wal) entries;
   Wal.sync wal;
   Wal.close wal;
   (* Tear: append a prefix of a valid record — a crash mid-append. *)
-  let torn = Wal.encode_entry (Wal.After (2, 1, Bytes.make 16 'b')) in
+  let torn = Wal.encode_entry (Wal.After (2, 1, [ (0, Bytes.make 16 'b') ])) in
   let f = vfs.Vfs.open_rw "/t/log" in
   let clean_len = f.Vfs.size () in
   f.Vfs.pwrite ~buf:(Bytes.sub torn 0 (Bytes.length torn - 5)) ~off:clean_len;
@@ -82,7 +82,7 @@ let test_torn_frame_nak () =
   let whole =
     Bytes.concat Bytes.empty
       [ Wal.encode_entry (Wal.Begin 1);
-        Wal.encode_entry (Wal.After (1, 0, Bytes.make Page.size 'x'));
+        Wal.encode_entry (Wal.After (1, 0, [ (0, Bytes.make Page.size 'x') ]));
         Wal.encode_entry (Wal.Commit 1) ]
   in
   let torn = Bytes.sub whole 0 (Bytes.length whole - 4) in
@@ -139,16 +139,25 @@ let test_frame_codec () =
 (* The djb2 blind spot: +1 on byte i and -33 on byte i+1 leave a
    multiply-by-33 rolling hash unchanged.  A real CRC sees it. *)
 let test_frame_collision () =
+  let record = Wal.encode_entry (Wal.After (1, 0, [ (8, Bytes.make 64 'b') ])) in
   let b =
-    Frame.encode
-      (Frame.Append { epoch = 1; base_lsn = 0; payload = Bytes.make 64 'b' })
+    Frame.encode (Frame.Append { epoch = 1; base_lsn = 0; payload = record })
   in
-  (* Header: magic, tag, epoch, base_lsn, payload length; then payload. *)
-  let i = 14 + 20 in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) + 1));
-  Bytes.set b (i + 1) (Char.chr (Char.code (Bytes.get b (i + 1)) - 33));
+  (* Frame header: magic, tag, epoch, base_lsn, payload length (14
+     bytes); then the record's 14-byte header and its 4-byte range
+     header; then the range's bytes. *)
+  let i = 14 + 14 + 4 + 20 in
+  let plant b i =
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) + 1));
+    Bytes.set b (i + 1) (Char.chr (Char.code (Bytes.get b (i + 1)) - 33))
+  in
+  plant b i;
   check Alcotest.bool "compensated double-byte change rejected" true
-    (Frame.decode b = None)
+    (Frame.decode b = None);
+  (* The record's own CRC catches the same change in the range. *)
+  plant record (i - 14);
+  check Alcotest.bool "garbled range record dropped" true
+    (Wal.decode_entries record = ([], true))
 
 (* --- shared scenario plumbing --- *)
 
@@ -417,6 +426,24 @@ let test_failover_with_replica_crash () =
         Alcotest.failf "failover violation:@ %a" Failover.pp_report r)
     [ (601L, 4096, 1024); (602L, 8, 16); (603L, 4096, 1024) ]
 
+(* --- no snapshot catch-up inside a transaction --- *)
+
+(* The harness heartbeats between Begin and Commit.  A lagging peer
+   used to be caught up there with a snapshot whose LSN was past the
+   in-flight Begin, so the replica dropped that transaction's Commit
+   and the promoted survivor lost an acknowledged commit (acked 8,
+   survivor 7). *)
+let test_no_snapshot_inside_txn () =
+  let c =
+    { Failover.fo_seed = 18L; fo_gen_seed = gen_seed; fo_level = level;
+      fo_steps = 60; fo_policy = Repl.Sync_one; fo_replicas = 3;
+      fo_crash_after = 0; fo_net_faults = false; fo_kill_at = None;
+      fo_restart_at = None; fo_retain = 4096; fo_snapshot_lag = 1024 }
+  in
+  let r = Failover.failover_check c in
+  if not (Failover.ok r) then
+    Alcotest.failf "failover violation:@ %a" Failover.pp_report r
+
 (* --- repro files round-trip --- *)
 
 let test_repro_roundtrip () =
@@ -460,6 +487,8 @@ let () =
             test_fencing;
           Alcotest.test_case "replica crash mid-trace" `Slow
             test_failover_with_replica_crash;
+          Alcotest.test_case "no snapshot inside a transaction" `Quick
+            test_no_snapshot_inside_txn;
           Alcotest.test_case "repro round-trip" `Quick test_repro_roundtrip;
         ] );
       ( "group-commit",

@@ -236,9 +236,9 @@ let test_pool_first_dirty_hook () =
         ~on_first_dirty:(fun id img -> captured := (id, Bytes.get img 0) :: !captured)
         ~on_evict_dirty:(fun _ _ -> ());
       let id = Buffer_pool.allocate pool in
-      (* allocate counts as a first-dirty (before-image = zeroes); start a
-         fresh txn window for the scenario under test. *)
-      ignore (Buffer_pool.take_dirty_set pool);
+      (* allocate counts as a first-dirty (before-image = zeroes); write
+         the page back so the scenario starts from a clean frame. *)
+      Buffer_pool.flush_all pool;
       captured := [];
       Buffer_pool.with_page_w pool id (fun page -> Bytes.fill page 0 4 'a');
       Buffer_pool.with_page_w pool id (fun page -> Bytes.fill page 0 4 'b');
@@ -248,9 +248,14 @@ let test_pool_first_dirty_hook () =
       check Alcotest.char "before image is pre-write" '\000' first_byte;
       let dirty = Buffer_pool.take_dirty_set pool in
       check Alcotest.int "one dirty page" 1 (List.length dirty);
-      (* After take_dirty_set, the next write captures again. *)
+      (* Still dirty after take_dirty_set: no new capture. *)
+      Buffer_pool.with_page_w pool id (fun page -> Bytes.fill page 0 4 'b');
+      check Alcotest.int "no capture while dirty" 1 (List.length !captured);
+      (* Once written back the frame is clean, and the next write
+         captures again. *)
+      Buffer_pool.flush_all pool;
       Buffer_pool.with_page_w pool id (fun page -> Bytes.fill page 0 4 'c');
-      check Alcotest.int "recapture after take" 2 (List.length !captured);
+      check Alcotest.int "recapture after write-back" 2 (List.length !captured);
       let _, snd_byte = List.hd !captured in
       check Alcotest.char "second before image sees b" 'b' snd_byte)
 
@@ -570,14 +575,18 @@ let page_of_char c =
   Bytes.fill p 0 Page.size c;
   p
 
+(* One range covering the whole page. *)
+let whole c = [ (0, page_of_char c) ]
+
 let test_wal_roundtrip () =
   let path = temp_path "wal" in
   let wal = Wal.open_ path in
   let entries =
     [
       Wal.Begin 1;
-      Wal.Before (1, 2, page_of_char 'a');
-      Wal.After (1, 2, page_of_char 'b');
+      Wal.Before (1, 2, [ (7, Bytes.of_string "abc"); (4000, Bytes.make 96 'a') ]);
+      Wal.After (1, 2, whole 'b');
+      Wal.After (1, 3, []);
       Wal.Commit 1;
       Wal.Checkpoint;
     ]
@@ -589,7 +598,8 @@ let test_wal_roundtrip () =
   List.iter2
     (fun a b ->
       check Alcotest.string "entry" (Wal.entry_to_string a)
-        (Wal.entry_to_string b))
+        (Wal.entry_to_string b);
+      check Alcotest.bool "same ranges" true (a = b))
     entries back;
   Wal.close wal;
   Sys.remove path
@@ -598,7 +608,7 @@ let test_wal_torn_tail () =
   let path = temp_path "torn" in
   let wal = Wal.open_ path in
   Wal.append wal (Wal.Begin 1);
-  Wal.append wal (Wal.After (1, 0, page_of_char 'x'));
+  Wal.append wal (Wal.After (1, 0, whole 'x'));
   Wal.append wal (Wal.Commit 1);
   Wal.flush wal;
   let full = (Unix.stat path).Unix.st_size in
@@ -611,9 +621,9 @@ let test_wal_torn_tail () =
   check Alcotest.int "commit lost, prefix kept" 2 (List.length back);
   Sys.remove path
 
-(* The djb2 blind spot the previous record checksum had: +1 on byte i
-   and -33 on byte i+1 of a payload left it unchanged, so a corrupted
-   After image was redone as if intact. *)
+(* The djb2 blind spot an earlier record checksum had: +1 on byte i and
+   -33 on byte i+1 of a payload left it unchanged, so a corrupted After
+   range was redone as if intact. *)
 let test_wal_collision_not_redone () =
   with_file_pager "collide" (fun pager _path ->
       let wal_path = temp_path "collide_wal" in
@@ -621,13 +631,13 @@ let test_wal_collision_not_redone () =
       Pager.write pager p0 (page_of_char 'o');
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.After (1, p0, page_of_char 'b'));
+      Wal.append wal (Wal.After (1, p0, [ (64, Bytes.make 200 'b') ]));
       Wal.append wal (Wal.Commit 1);
       Wal.flush wal;
       Wal.close wal;
-      (* Begin is 18 bytes; the After payload starts after its 14-byte
-         header. *)
-      let i = 18 + 14 + 100 in
+      (* Begin is 18 bytes; the range's bytes start after the After's
+         14-byte header and the 4-byte range header. *)
+      let i = 18 + 14 + 4 + 100 in
       let fd = Unix.openfile wal_path [ Unix.O_RDWR ] 0 in
       let plant off c =
         ignore (Unix.lseek fd off Unix.SEEK_SET);
@@ -647,7 +657,7 @@ let test_wal_collision_not_redone () =
         report.Recovery.committed;
       check Alcotest.int "no pages redone" 0 report.Recovery.pages_redone;
       check Alcotest.char "page keeps its old value" 'o'
-        (Bytes.get (Pager.read pager p0) 0);
+        (Bytes.get (Pager.read pager p0) 64);
       Sys.remove wal_path)
 
 (* A log written in the previous record format (magic 0xA7, a rolling
@@ -669,10 +679,11 @@ let legacy_begin_record txn =
   Page.set_u32 b 14 (djb2 Bytes.empty lxor djb2 hdr);
   b
 
-let test_wal_old_format_refused () =
+(* Both the engine's open and the log's own open refuse the log, and
+   leave it as it was. *)
+let refused_at_open ~magic record =
   let path = temp_path "oldwal" in
   let wal_path = path ^ ".wal" in
-  let record = legacy_begin_record 1 in
   let oc = open_out_bin wal_path in
   output_bytes oc record;
   close_out oc;
@@ -682,7 +693,7 @@ let test_wal_old_format_refused () =
     | exception
         Storage_error.Error
           (Storage_error.Unsupported_format { found; expected; _ }) ->
-      check Alcotest.int "found the old magic" 0xA7 found;
+      check Alcotest.int "found the old magic" magic found;
       check Alcotest.int "expected the current magic" Wal.entry_magic expected
   in
   refused (fun () -> ignore (Engine.open_ ~path ~pool_pages:16 ()));
@@ -692,6 +703,77 @@ let test_wal_old_format_refused () =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     (Engine.files path)
+
+let test_wal_old_format_refused () =
+  refused_at_open ~magic:0xA7 (legacy_begin_record 1)
+
+(* The whole-page-image format (magic 0xA8) had the current record
+   framing and CRC-32; a log in it is refused just the same. *)
+let test_wal_page_image_format_refused () =
+  let b = Bytes.make 18 '\000' in
+  Page.set_u8 b 0 0xA8;
+  Page.set_u8 b 1 1;
+  Page.set_u32 b 2 1;
+  Page.set_u32 b 14 (Page.checksum_update 0 b ~pos:0 ~len:14);
+  refused_at_open ~magic:0xA8 b
+
+(* Random page pairs: [cur] is [old] with random spans overwritten
+   (sometimes by the bytes already there).  The diff's spans are
+   ordered, disjoint, separated by more than a range header and cover
+   every changed byte; patching [old] with [cur]'s ranges gives [cur],
+   patching [cur] with [old]'s ranges gives [old]; and the ranges
+   round-trip through a record at a random page id. *)
+let prop_ranges =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int in
+      let* edits = int_range 0 12 in
+      let* page = int_range 0 100_000 in
+      return (seed, edits, page))
+  in
+  QCheck.Test.make ~name:"diff, patch and range records round-trip"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, edits, page) ->
+         Printf.sprintf "seed %d, %d edits, page %d" seed edits page)
+       gen)
+    (fun (seed, edits, page) ->
+      let st = Random.State.make [| seed |] in
+      let old = Bytes.init Page.size (fun _ -> Char.chr (Random.State.int st 4)) in
+      let cur = Bytes.copy old in
+      for _ = 1 to edits do
+        let off = Random.State.int st Page.size in
+        let len = 1 + Random.State.int st (min 300 (Page.size - off)) in
+        for i = off to off + len - 1 do
+          Bytes.set cur i (Char.chr (Random.State.int st 4))
+        done
+      done;
+      let spans = Wal.diff old cur in
+      let rec well_formed prev = function
+        | [] -> true
+        | (off, len) :: rest ->
+          len > 0 && off > prev + 4 && off + len <= Page.size
+          && Bytes.get old off <> Bytes.get cur off
+          && Bytes.get old (off + len - 1) <> Bytes.get cur (off + len - 1)
+          && well_formed (off + len - 1) rest
+      in
+      let covered i = List.exists (fun (o, l) -> i >= o && i < o + l) spans in
+      let all_covered = ref true in
+      Bytes.iteri
+        (fun i c -> if c <> Bytes.get cur i && not (covered i) then all_covered := false)
+        old;
+      let redo = Wal.ranges cur spans and undo = Wal.ranges old spans in
+      let patched src rs =
+        let b = Bytes.copy src in
+        Wal.patch b rs;
+        b
+      in
+      let record = Wal.After (7, page, redo) in
+      well_formed (-5) spans && !all_covered
+      && Bytes.equal (patched old redo) cur
+      && Bytes.equal (patched cur undo) old
+      && (spans = []) = Bytes.equal old cur
+      && Wal.decode_entries (Wal.encode_entry record) = ([ record ], false))
 
 let test_wal_missing_file () =
   check Alcotest.int "missing file is empty log" 0
@@ -705,8 +787,8 @@ let test_recovery_redo () =
       (* Committed txn whose after-image never reached the main file. *)
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.Before (1, p0, page_of_char 'o'));
-      Wal.append wal (Wal.After (1, p0, page_of_char 'n'));
+      Wal.append wal (Wal.Before (1, p0, whole 'o'));
+      Wal.append wal (Wal.After (1, p0, whole 'n'));
       Wal.append wal (Wal.Commit 1);
       Wal.flush wal;
       Wal.close wal;
@@ -725,8 +807,8 @@ let test_recovery_undo () =
       Pager.write pager p0 (page_of_char 'u');
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 9);
-      Wal.append wal (Wal.Before (9, p0, page_of_char 'o'));
-      Wal.append wal (Wal.After (9, p0, page_of_char 'u'));
+      Wal.append wal (Wal.Before (9, p0, whole 'o'));
+      Wal.append wal (Wal.After (9, p0, whole 'u'));
       Wal.flush wal;
       Wal.close wal;
       let report = Recovery.recover ~wal_path pager in
@@ -745,11 +827,11 @@ let test_recovery_mixed () =
       let wal = Wal.open_ wal_path in
       (* txn 1 commits a change to p0; txn 2 crashes mid-flight on p1. *)
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.Before (1, p0, page_of_char '0'));
-      Wal.append wal (Wal.After (1, p0, page_of_char 'A'));
+      Wal.append wal (Wal.Before (1, p0, whole '0'));
+      Wal.append wal (Wal.After (1, p0, whole 'A'));
       Wal.append wal (Wal.Commit 1);
       Wal.append wal (Wal.Begin 2);
-      Wal.append wal (Wal.Before (2, p1, page_of_char '1'));
+      Wal.append wal (Wal.Before (2, p1, whole '1'));
       Wal.flush wal;
       Wal.close wal;
       Pager.write pager p1 (page_of_char 'Z') (* stolen uncommitted write *);
@@ -768,7 +850,7 @@ let test_recovery_checkpoint_bound () =
       Pager.write pager p0 (page_of_char 'k');
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.After (1, p0, page_of_char 'x'));
+      Wal.append wal (Wal.After (1, p0, whole 'x'));
       Wal.append wal (Wal.Commit 1);
       Wal.append wal Wal.Checkpoint;
       Wal.flush wal;
@@ -872,6 +954,9 @@ let () =
             test_wal_collision_not_redone;
           Alcotest.test_case "old format refused at open" `Quick
             test_wal_old_format_refused;
+          Alcotest.test_case "page-image format refused at open" `Quick
+            test_wal_page_image_format_refused;
+          qtest prop_ranges;
         ] );
       ( "recovery",
         [
