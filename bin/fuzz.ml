@@ -1,320 +1,187 @@
-(* hyperfuzz — differential oracle fuzzer driver.
+(* hyperfuzz — the fuzz driver.
 
-   Generates seed-driven op traces (Hyper_check.Gen), replays them on
-   memdb (oracle) and the disk-backed subjects, shrinks any divergence to
-   a minimal repro and saves it as a replayable trace file.  A second
-   mode interleaves faulty-VFS crash points with the trace and checks
-   recovery against the oracle's acked-commit prefix.  Exit status 1 on
-   any divergence — CI fails the job and uploads the repro artifact. *)
+   Every subcommand but [replay] is a preset: a seed-driven schedule of
+   cases (Hyper_check.Preset — a subject, a fault schedule, a trace),
+   each judged by the memdb oracle, run under one budgeted loop.  Every
+   failure saves a repro that [hyperfuzz replay] re-runs through the
+   same check.  Exit status 1 on any failure — CI fails the job and
+   uploads the repros. *)
 
 open Cmdliner
-module Check = Hyper_check.Differential
-module Fail = Hyper_check.Failover
+module Dif = Hyper_check.Differential
+module P = Hyper_check.Preset
 module Repl = Hyper_repl.Repl
-module Trace = Hyper_core.Trace
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
+let gen_seed = 42L
 
 let parse_subjects s =
-  let names = String.split_on_char ',' s in
-  let kinds =
+  match
     List.map
       (fun n ->
-        match Check.kind_of_name (String.trim n) with
+        match Dif.kind_of_name (String.trim n) with
         | Some k -> k
         | None -> failwith (Printf.sprintf "unknown subject %S" n))
-      names
-  in
-  if kinds = [] then failwith "empty subject list";
-  kinds
-
-let repro_path ~dir ~seed = Filename.concat dir (Printf.sprintf "fuzz-repro-%Ld.trace" seed)
-
-let report_finding ~dir (f : Check.finding) =
-  let { Check.seed; gen_seed; level; _ } = f.f_case in
-  let path = repro_path ~dir ~seed in
-  Check.save_repro ~path ~gen_seed ~level f.f_minimal;
-  say "DIVERGENCE on %s (seed %Ld, %d-op minimal repro):" f.f_backend seed
-    (List.length f.f_minimal);
-  Format.printf "%a@." Check.pp_divergence f.f_divergence;
-  say "replay: hyperfuzz replay %s" path
+      (String.split_on_char ',' s)
+  with
+  | [] -> failwith "empty subject list"
+  | kinds -> kinds
 
 (* Stratify n crash points over the write-count space of the trace:
    evenly spaced, never 0. *)
 let crash_points ~writes n =
   if writes <= 0 || n <= 0 then []
   else
-    List.init n (fun i ->
-        let k = 1 + (i * writes / n) in
-        min k writes)
+    List.init n (fun i -> min (1 + (i * writes / n)) writes)
     |> List.sort_uniq compare
 
-let check_crashes ~gen_seed ~level ~npoints ~seed ops =
-  if npoints = 0 then true
-  else begin
-    let writes = Check.crash_writes ~gen_seed ~level ops in
-    List.for_all
-      (fun k ->
-        match Check.crash_check ~gen_seed ~level ~crash_after:k ops with
-        | Check.Crash_clean _ -> true
-        | Check.Crash_diverged { crash_step; acked; in_flight; divergence } ->
-            say
-              "CRASH DIVERGENCE (seed %Ld, crash after %d writes, step %d, \
-               %d acked commits%s):"
-              seed k crash_step acked
-              (if in_flight then ", commit in flight" else "");
-            Format.printf "%a@." Check.pp_divergence divergence;
-            false)
-      (crash_points ~writes npoints)
-  end
-
-let run_fuzz seed traces steps level budget_s subjects npoints dir =
-  let subjects = parse_subjects subjects in
-  let gen_seed = 42L in
-  (* Monotonic budget: a wall-clock step must not end (or extend) the
-     fuzzing window. *)
+(* The one fuzz loop: [legs i] are case [i]'s checks.  The budget is
+   checked before each case and between its legs, on the monotonic
+   clock so a wall-clock step cannot end or extend the window. *)
+let fuzz ~name ~seed ~count ~level ~steps ~budget_s ~dir legs =
   let now_s () = Int64.to_float (Hyper_util.Mtime_stub.now_ns ()) /. 1e9 in
-  let deadline = if budget_s > 0.0 then Some (now_s () +. budget_s) else None in
-  let expired () =
-    match deadline with Some t -> now_s () > t | None -> false
-  in
-  let failures = ref 0 in
-  let ran = ref 0 in
+  let deadline = now_s () +. budget_s in
+  let expired () = budget_s > 0.0 && now_s () > deadline in
+  let ran = ref 0 and failures = ref 0 and crashes = ref 0 in
+  let snapshots = ref 0 and replays = ref 0 in
   (try
-     for i = 0 to traces - 1 do
+     for i = 0 to count - 1 do
        if expired () then raise Exit;
-       let seed = Int64.add seed (Int64.of_int i) in
-       let case = { Check.seed; gen_seed; level; steps; subjects } in
        incr ran;
-       (match Check.run_case case with
-       | Some f ->
-           report_finding ~dir f;
-           incr failures
-       | None -> ());
-       if (not (expired ())) && not (check_crashes ~gen_seed ~level ~npoints ~seed
-              (Hyper_check.Gen.trace ~seed ~gen_seed ~level ~steps))
-       then incr failures
-     done
-   with Exit -> ());
-  say "fuzz: %d trace(s), %d divergence(s) [seed base %Ld, level %d, steps %d]"
-    !ran !failures seed level steps;
-  if !failures > 0 then exit 1
-
-let run_replay path subjects =
-  let subjects = parse_subjects subjects in
-  let gen_seed, level, ops = Check.load_repro ~path in
-  let oracle, layout = Check.oracle_harness ~gen_seed ~level in
-  let failures = ref 0 in
-  List.iter
-    (fun kind ->
-      let subject = Check.subject_harness ~gen_seed ~level kind in
-      match Check.check ~layout ~oracle ~subject ops with
-      | None -> say "%s: agrees (%d ops)" subject.Check.h_name (List.length ops)
-      | Some d ->
-          incr failures;
-          say "%s: diverges" subject.Check.h_name;
-          Format.printf "%a@." Check.pp_divergence d)
-    subjects;
-  if !failures > 0 then exit 1
-
-(* --------------------------------------------------------------- *)
-(* net mode: the same differential traces, but the subject sits behind
-   the real socket stack (wire codec + server sessions + client), and
-   crash interleavings kill the server mid-request: the acked prefix
-   must survive recovery and be visible through a fresh wire client. *)
-
-let run_net seed traces steps level budget_s npoints dir =
-  let module NC = Hyper_check.Netcheck in
-  let gen_seed = 42L in
-  let now_s () = Int64.to_float (Hyper_util.Mtime_stub.now_ns ()) /. 1e9 in
-  let deadline = if budget_s > 0.0 then Some (now_s () +. budget_s) else None in
-  let expired () =
-    match deadline with Some t -> now_s () > t | None -> false
-  in
-  let failures = ref 0 in
-  let ran = ref 0 in
-  (try
-     for i = 0 to traces - 1 do
-       if expired () then raise Exit;
-       let seed = Int64.add seed (Int64.of_int i) in
-       let ops = Hyper_check.Gen.trace ~seed ~gen_seed ~level ~steps in
-       incr ran;
-       (match NC.check ~gen_seed ~level ops with
-       | None -> ()
-       | Some d ->
-           incr failures;
-           let path = repro_path ~dir ~seed in
-           Check.save_repro ~path ~gen_seed ~level ops;
-           say "WIRE DIVERGENCE (seed %Ld, %d ops):" seed (List.length ops);
-           Format.printf "%a@." Check.pp_divergence d;
-           say "replay: hyperfuzz replay %s" path);
-       if (not (expired ())) && npoints > 0 then begin
-         let writes = Check.crash_writes ~gen_seed ~level ops in
-         List.iter
-           (fun k ->
-             match NC.crash_check ~gen_seed ~level ~crash_after:k ops with
-             | Check.Crash_clean _ -> ()
-             | Check.Crash_diverged { crash_step; acked; in_flight; divergence }
-               ->
-                 incr failures;
-                 say
-                   "WIRE CRASH DIVERGENCE (seed %Ld, crash after %d writes, \
-                    step %d, %d acked commits%s):"
-                   seed k crash_step acked
-                   (if in_flight then ", commit in flight" else "");
-                 Format.printf "%a@." Check.pp_divergence divergence)
-           (crash_points ~writes npoints)
-       end
+       List.iteri
+         (fun j case ->
+           if j = 0 || not (expired ()) then begin
+             let o = P.check ~shrink:true case in
+             if o.P.crashed then incr crashes;
+             snapshots := !snapshots + fst o.catchups;
+             replays := !replays + snd o.catchups;
+             if not o.ok then begin
+               incr failures;
+               let path = Filename.concat dir (P.file_name o.repro) in
+               P.save ~path o.repro;
+               say "FAILURE (%s, seed %Ld):" (P.preset o.repro) o.repro.seed;
+               say "%s" o.report;
+               say "replay: hyperfuzz replay %s" path
+             end
+           end)
+         (legs i)
      done
    with Exit -> ());
   say
-    "net: %d trace(s), %d divergence(s) [seed base %Ld, level %d, steps %d, \
-     %d crash point(s)/trace]"
-    !ran !failures seed level steps npoints;
+    "%s: %d case(s), %d failure(s) [%d crash(es), %d snapshot / %d replay \
+     catch-up(s); seed base %Ld, level %d, steps %d]"
+    name !ran !failures !crashes !snapshots !replays seed level steps;
   if !failures > 0 then exit 1
 
-(* --------------------------------------------------------------- *)
-(* mvcc mode: snapshot-consistency fuzzing.  Each case hammers the
-   version store with concurrent writers + pinned-snapshot readers
-   (store check), then replays a generated trace on memdb cloning
-   Backend snapshots between transactions and diffs each view against
-   an oracle replay of its commit prefix (backend check). *)
+let trace ~seed ~level ~steps =
+  Hyper_check.Gen.trace ~seed ~gen_seed ~level ~steps
 
+let case ~seed ~level ?(ops = []) subject crash_after =
+  { P.subject; crash_after; seed; gen_seed; level; ops }
+
+(* run / net: the differential check on each subject, then [npoints]
+   crash points stratified over the trace's writes. *)
+let differential ~wire ~subjects seed traces steps level budget_s npoints dir =
+  fuzz ~name:(if wire then "net" else "run") ~seed ~count:traces ~level ~steps
+    ~budget_s ~dir (fun i ->
+      let seed = Int64.add seed (Int64.of_int i) in
+      let ops = trace ~seed ~level ~steps in
+      let case = case ~seed ~level ~ops in
+      let subject k = if wire then P.Wire k else P.Local k in
+      let writes =
+        if npoints = 0 then 0
+        else
+          Dif.crash_writes
+            (Dif.subject ~durable:true ~gen_seed ~level Dif.Disk)
+            ops
+      in
+      List.map (fun k -> case (subject k) None) subjects
+      @ List.map
+          (fun k -> case (subject Dif.Disk) (Some k))
+          (crash_points ~writes npoints))
+
+let run_fuzz seed traces steps level budget_s subjects npoints dir =
+  differential ~wire:false ~subjects:(parse_subjects subjects) seed traces steps
+    level budget_s npoints dir
+
+let run_net seed traces steps level budget_s npoints dir =
+  differential ~wire:true ~subjects:[ Dif.Disk ] seed traces steps level budget_s
+    npoints dir
+
+let run_replay path subjects =
+  let failed =
+    List.filter
+      (fun c ->
+        let o = P.check c in
+        say "%s" o.P.report;
+        not o.ok)
+      (P.load ~local:(parse_subjects subjects) path)
+  in
+  if failed <> [] then exit 1
+
+(* mvcc: the version store under concurrent writers and pinned-snapshot
+   readers, then memdb snapshot views diffed against oracle replays of
+   their commit prefix.  The thread/key shape varies with the case
+   index so few-hot-keys through wide-key-space contention are all
+   visited. *)
 let run_mvcc seed traces steps level budget_s dir =
-  let module MC = Hyper_check.Mvcc_check in
-  let gen_seed = 42L in
-  let now_s () = Int64.to_float (Hyper_util.Mtime_stub.now_ns ()) /. 1e9 in
-  let deadline = if budget_s > 0.0 then Some (now_s () +. budget_s) else None in
-  let expired () =
-    match deadline with Some t -> now_s () > t | None -> false
-  in
-  let failures = ref 0 in
-  let ran = ref 0 in
-  (try
-     for i = 0 to traces - 1 do
-       if expired () then raise Exit;
-       let seed = Int64.add seed (Int64.of_int i) in
-       incr ran;
-       (* Vary the thread/key shape with the case index so different
-          contention regimes (few hot keys … wide key space) are all
-          visited. *)
-       let writers = 2 + (i mod 3) in
-       let readers = 1 + (i mod 2) in
-       let keys = [| 4; 16; 64 |].(i mod 3) in
-       (match
-          MC.store_check ~seed ~writers ~readers ~keys ~txns_per_writer:50
-        with
-       | None -> ()
-       | Some v ->
-           incr failures;
-           say "MVCC STORE VIOLATION (seed %Ld, %d writers, %d readers, %d \
-                keys):" seed writers readers keys;
-           Format.printf "%a@." MC.pp_violation v);
-       if not (expired ()) then
-         match MC.backend_check ~seed ~gen_seed ~level ~steps with
-         | None -> ()
-         | Some v ->
-             incr failures;
-             let path = repro_path ~dir ~seed in
-             Check.save_repro ~path ~gen_seed ~level
-               (Hyper_check.Gen.trace ~seed ~gen_seed ~level ~steps);
-             say "MVCC SNAPSHOT VIOLATION (seed %Ld):" seed;
-             Format.printf "%a@." MC.pp_violation v;
-             say "trace saved: %s" path
-     done
-   with Exit -> ());
-  say "mvcc: %d case(s), %d violation(s) [seed base %Ld, level %d, steps %d]"
-    !ran !failures seed level steps;
-  if !failures > 0 then exit 1
+  fuzz ~name:"mvcc" ~seed ~count:traces ~level ~steps ~budget_s ~dir (fun i ->
+      let seed = Int64.add seed (Int64.of_int i) in
+      let store =
+        P.Store
+          { writers = 2 + (i mod 3); readers = 1 + (i mod 2);
+            keys = [| 4; 16; 64 |].(i mod 3); txns = 50 }
+      in
+      [ case ~seed ~level store None;
+        case ~seed ~level ~ops:(trace ~seed ~level ~steps)
+          (P.Snapshots (max 8 (steps / 4))) None ])
 
-(* --------------------------------------------------------------- *)
-(* failover mode: replicated primary, crash/partition/promote, diff
-   the survivor against the oracle replay of its committed prefix. *)
-
-(* Deterministic case schedule: cycle the ack policies, stratify the
-   primary crash point, alternate link faults, and periodically throw in
-   a replica kill/restart and a tiny retention window (the latter forces
-   the snapshot catch-up path). *)
-let failover_case ~base ~steps ~level ~replicas i =
-  let seed = Int64.add base (Int64.of_int i) in
-  let policy =
-    match i mod 3 with 0 -> Repl.Async | 1 -> Repl.Sync_one | _ -> Repl.Quorum
-  in
-  let crash_after = [| 0; 40; 150; 600 |].(i / 3 mod 4) in
-  let kill =
-    if i mod 5 = 3 then Some (i mod replicas, steps / 4) else None
-  in
-  let restart =
-    if kill <> None && i mod 2 = 1 then Some (steps * 3 / 4) else None
-  in
-  let retain, snapshot_lag = if i mod 7 = 2 then (8, 16) else (4096, 1024) in
-  { Fail.fo_seed = seed; fo_gen_seed = 42L; fo_level = level;
-    fo_steps = steps; fo_policy = policy; fo_replicas = replicas;
-    fo_crash_after = crash_after; fo_net_faults = i mod 2 = 0;
-    fo_kill_at = kill; fo_restart_at = restart; fo_retain = retain;
-    fo_snapshot_lag = snapshot_lag }
-
-let failover_repro_path ~dir ~seed =
-  Filename.concat dir (Printf.sprintf "failover-repro-%Ld.repro" seed)
-
-let run_failover seed cases steps level budget_s replicas dir replay =
-  match replay with
-  | Some path ->
-    let c = Fail.load_repro ~path in
-    let r = Fail.failover_check c in
-    Format.printf "%a@." Fail.pp_report r;
-    if not (Fail.ok r) then exit 1
-  | None ->
-    let now_s () = Int64.to_float (Hyper_util.Mtime_stub.now_ns ()) /. 1e9 in
-    let deadline =
-      if budget_s > 0.0 then Some (now_s () +. budget_s) else None
-    in
-    let expired () =
-      match deadline with Some t -> now_s () > t | None -> false
-    in
-    let failures = ref 0 in
-    let ran = ref 0 in
-    let crashed = ref 0 in
-    let snapshots = ref 0 in
-    let replays = ref 0 in
-    (try
-       for i = 0 to cases - 1 do
-         if expired () then raise Exit;
-         let c = failover_case ~base:seed ~steps ~level ~replicas i in
-         incr ran;
-         let r = Fail.failover_check c in
-         if r.Fail.r_crashed then incr crashed;
-         snapshots := !snapshots + r.Fail.r_snapshots;
-         replays := !replays + r.Fail.r_replays;
-         if not (Fail.ok r) then begin
-           incr failures;
-           let path = failover_repro_path ~dir ~seed:c.Fail.fo_seed in
-           Fail.save_repro ~path c;
-           say "FAILOVER VIOLATION:";
-           Format.printf "%a@." Fail.pp_report r;
-           say "replay: hyperfuzz failover --replay %s" path
-         end
-       done
-     with Exit -> ());
-    say
-      "failover: %d case(s), %d violation(s) [%d primary crash(es), %d \
-       snapshot / %d replay catch-up(s); seed base %Ld, level %d, steps %d, \
-       %d replicas]"
-      !ran !failures !crashed !snapshots !replays seed level steps replicas;
-    if !failures > 0 then exit 1
+(* failover: cycle the ack policies, stratify the primary crash point,
+   alternate link faults, and periodically throw in a replica
+   kill/restart and a tiny retention window (the latter forces the
+   snapshot catch-up path). *)
+let run_failover seed cases steps level budget_s replicas dir =
+  fuzz ~name:"failover" ~seed ~count:cases ~level ~steps ~budget_s ~dir
+    (fun i ->
+      let kill_at =
+        if i mod 5 = 3 then Some (i mod replicas, steps / 4) else None
+      in
+      let retain, snapshot_lag =
+        if i mod 7 = 2 then (8, 16) else (4096, 1024)
+      in
+      let config =
+        { Hyper_check.Failover.policy =
+            (match i mod 3 with
+            | 0 -> Repl.Async
+            | 1 -> Repl.Sync_one
+            | _ -> Repl.Quorum);
+          replicas; net_faults = i mod 2 = 0; kill_at;
+          restart_at =
+            (if kill_at <> None && i mod 2 = 1 then Some (steps * 3 / 4)
+             else None);
+          retain; snapshot_lag }
+      in
+      let seed = Int64.add seed (Int64.of_int i) in
+      [ case ~seed ~level ~ops:(trace ~seed ~level ~steps) (P.Replicated config)
+          (Some [| 0; 40; 150; 600 |].(i / 3 mod 4)) ])
 
 let seed_arg =
-  Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"N" ~doc:"Base trace seed; trace $(i,i) uses seed+$(i,i).")
+  Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"N"
+         ~doc:"Base trace seed; case $(i,i) uses seed+$(i,i).")
 
-let traces_arg =
-  Arg.(value & opt int 10_000 & info [ "traces" ] ~docv:"N"
-         ~doc:"Maximum number of traces (the budget usually stops first).")
+let count_arg name doc =
+  Arg.(value & opt int 10_000 & info [ name ] ~docv:"N"
+         ~doc:(doc ^ " (the budget usually stops first)."))
 
-let steps_arg =
-  Arg.(value & opt int 120 & info [ "steps" ] ~docv:"N" ~doc:"Ops per trace.")
+let traces_arg = count_arg "traces" "Maximum number of traces"
+
+let steps_arg default =
+  Arg.(value & opt int default & info [ "steps" ] ~docv:"N"
+         ~doc:"Ops per trace.")
 
 let level_arg =
-  Arg.(value & opt int 3 & info [ "level" ] ~docv:"L" ~doc:"Leaf level of the generated database.")
+  Arg.(value & opt int 3 & info [ "level" ] ~docv:"L"
+         ~doc:"Leaf level of the generated database.")
 
 let budget_arg =
   Arg.(value & opt float 30.0 & info [ "budget-s" ] ~docv:"SECONDS"
@@ -331,64 +198,17 @@ let crash_points_arg =
 
 let dir_arg =
   Arg.(value & opt string "." & info [ "repro-dir" ] ~docv:"DIR"
-         ~doc:"Where to save shrunk repro trace files.")
+         ~doc:"Where to save repro files.")
 
 let trace_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Repro trace file.")
-
-let run_cmd =
-  Cmd.v
-    (Cmd.info "run" ~doc:"Fuzz backends against the memdb oracle")
-    Term.(const run_fuzz $ seed_arg $ traces_arg $ steps_arg $ level_arg
-          $ budget_arg $ subjects_arg $ crash_points_arg $ dir_arg)
-
-let replay_cmd =
-  Cmd.v
-    (Cmd.info "replay" ~doc:"Replay a saved repro trace against the subjects")
-    Term.(const run_replay $ trace_arg $ subjects_arg)
-
-let net_cmd =
-  Cmd.v
-    (Cmd.info "net"
-       ~doc:
-         "Fuzz the socket stack: differential traces through a wire \
-          client + server, plus server-crash acked-prefix recovery checks")
-    Term.(const run_net $ seed_arg $ traces_arg $ steps_arg $ level_arg
-          $ budget_arg $ crash_points_arg $ dir_arg)
-
-let mvcc_cmd =
-  Cmd.v
-    (Cmd.info "mvcc"
-       ~doc:
-         "Fuzz snapshot isolation: concurrent writers vs pinned snapshot \
-          readers over the version store, plus memdb snapshot views diffed \
-          against oracle replays of their commit prefix")
-    Term.(const run_mvcc $ seed_arg $ traces_arg $ steps_arg $ level_arg
-          $ budget_arg $ dir_arg)
-
-let cases_arg =
-  Arg.(value & opt int 10_000 & info [ "cases" ] ~docv:"N"
-         ~doc:"Maximum number of failover cases (the budget usually stops \
-               first).")
-
-let fo_steps_arg =
-  Arg.(value & opt int 60 & info [ "steps" ] ~docv:"N" ~doc:"Ops per case.")
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE"
+         ~doc:"Repro file.")
 
 let replicas_arg =
   Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"N"
          ~doc:"Replicas behind the primary.")
 
-let fo_replay_arg =
-  Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE"
-         ~doc:"Re-run a single saved failover repro instead of fuzzing.")
-
-let failover_cmd =
-  Cmd.v
-    (Cmd.info "failover"
-       ~doc:"Crash-fuzz the replication layer: replicate, fail, promote, \
-             diff the survivor")
-    Term.(const run_failover $ seed_arg $ cases_arg $ fo_steps_arg
-          $ level_arg $ budget_arg $ replicas_arg $ dir_arg $ fo_replay_arg)
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
 let () =
   let doc = "differential oracle fuzzer for the HyperModel backends" in
@@ -396,4 +216,29 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "hyperfuzz" ~doc)
-          [ run_cmd; replay_cmd; net_cmd; mvcc_cmd; failover_cmd ]))
+          [ cmd "run" "Fuzz backends against the memdb oracle"
+              Term.(const run_fuzz $ seed_arg $ traces_arg $ steps_arg 120
+                    $ level_arg $ budget_arg $ subjects_arg $ crash_points_arg
+                    $ dir_arg);
+            cmd "replay"
+              "Re-run a saved repro through the check that found it (a bare \
+               v1 header: the differential check on $(b,--subjects))"
+              Term.(const run_replay $ trace_arg $ subjects_arg);
+            cmd "net"
+              "Fuzz the socket stack: differential traces through a wire \
+               client + server, plus server-crash acked-prefix recovery checks"
+              Term.(const run_net $ seed_arg $ traces_arg $ steps_arg 120
+                    $ level_arg $ budget_arg $ crash_points_arg $ dir_arg);
+            cmd "mvcc"
+              "Fuzz snapshot isolation: concurrent writers vs pinned snapshot \
+               readers over the version store, plus memdb snapshot views \
+               diffed against oracle replays of their commit prefix"
+              Term.(const run_mvcc $ seed_arg $ traces_arg $ steps_arg 120
+                    $ level_arg $ budget_arg $ dir_arg);
+            cmd "failover"
+              "Crash-fuzz the replication layer: replicate, fail, promote, \
+               diff the survivor"
+              Term.(const run_failover $ seed_arg
+                    $ count_arg "cases" "Maximum number of failover cases"
+                    $ steps_arg 60 $ level_arg $ budget_arg $ replicas_arg
+                    $ dir_arg) ]))

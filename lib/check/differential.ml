@@ -5,21 +5,6 @@ module M = Hyper_memdb.Memdb
 module D = Hyper_diskdb.Diskdb
 module R = Hyper_reldb.Reldb
 
-type kind = Disk | Disk_remote | Rel
-
-let kind_name = function
-  | Disk -> "diskdb"
-  | Disk_remote -> "diskdb-remote"
-  | Rel -> "reldb"
-
-let kind_of_name = function
-  | "diskdb" -> Some Disk
-  | "diskdb-remote" -> Some Disk_remote
-  | "reldb" -> Some Rel
-  | _ -> None
-
-let all_kinds = [ Disk; Disk_remote; Rel ]
-
 type divergence = {
   step : int;
   op : Trace.op;
@@ -34,102 +19,146 @@ let pp_divergence ppf d =
     (Trace.outcome_to_string d.oracle)
     (Trace.outcome_to_string d.subject)
 
-type harness = {
-  h_name : string;
-  h_fresh : unit -> Backend.instance * (unit -> unit);
+let layout_of ~level = Layout.make ~doc:1 ~oid_base:0 ~leaf_level:level ()
+
+(* {2 Subjects} *)
+
+let is_crash = function
+  | Vfs.Crash | Hyper_net.Client.Connection_lost _ -> true
+  | _ -> false
+
+type recovered = {
+  state : Backend.instance;
+  prefixes : int list;
+  acked_durable : bool;
+  note : string;
+  catchups : int * int;
+  release : unit -> unit;
 }
 
-let layout_of ~gen_seed:_ ~level =
-  Layout.make ~doc:1 ~oid_base:0 ~leaf_level:level ()
+type instance = {
+  store : Backend.instance;
+  env : Vfs.Faulty.env;
+  apply : Trace.op -> Trace.outcome;
+  before_op : int -> unit;
+  recover : crashed:bool -> acked:int -> in_flight:bool -> recovered;
+  close : unit -> unit;
+}
 
-let oracle_harness ~gen_seed ~level =
-  let fresh () =
-    let b = M.create () in
-    let module G = Generator.Make (M) in
-    let _layout, _ = G.generate b ~doc:1 ~leaf_level:level ~seed:gen_seed in
-    (Backend.Instance ((module M : Backend.S with type t = M.t), b), fun () -> ())
-  in
-  ({ h_name = "memdb"; h_fresh = fresh }, layout_of ~gen_seed ~level)
+type subject = { name : string; fresh : unit -> instance }
 
-(* Disk-backed subjects run entirely over the in-memory fault-injecting
-   VFS (quiet plan): no real files, no cleanup, and the crash harness can
-   later arm faults on the very same seam.  Small pools / caches keep the
-   eviction, overflow and group-fetch paths hot at fuzzing sizes. *)
-let disk_config ?(durable_sync = false) ~remote ~prefetch vfs =
-  {
-    (D.default_config ~path:"/fuzz/disk.db") with
-    pool_pages = 96;
-    object_cache = 64;
-    uid_hash_index = true;
-    durable_sync;
-    remote;
-    prefetch;
-    vfs = Some vfs;
-  }
+let generate ~gen_seed ~level (Backend.Instance ((module B), b)) =
+  let module G = Generator.Make (B) in
+  ignore (G.generate b ~doc:1 ~leaf_level:level ~seed:gen_seed)
 
-let rel_config ?(durable_sync = false) vfs =
-  {
-    (R.default_config ~path:"/fuzz/rel.db") with
-    pool_pages = 96;
-    durable_sync;
-    vfs = Some vfs;
-  }
-
-let generate_disk db ~gen_seed ~level =
-  let module G = Generator.Make (D) in
-  ignore (G.generate db ~doc:1 ~leaf_level:level ~seed:gen_seed)
-
-let subject_harness ~gen_seed ~level kind =
+(* Every store runs entirely over the in-memory fault-injecting VFS
+   (quiet plan): no real files, no cleanup, and the crash loop arms
+   faults on the very same seam. *)
+let local ~name ~gen_seed ~level open_ =
+  let layout = layout_of ~level in
   let fresh () =
     let env = Vfs.Faulty.create Vfs.Faulty.quiet in
     let vfs = Vfs.Faulty.vfs env in
-    match kind with
-    | Disk | Disk_remote ->
+    let store, close = open_ vfs in
+    generate ~gen_seed ~level store;
+    let recover ~crashed:_ ~acked ~in_flight =
+      (* Power-fail, disarm, reopen: recovery replays the WAL over
+         whatever the simulated disk retained.  A commit the crash
+         interrupted may or may not have reached the log. *)
+      Vfs.Faulty.set_plan env Vfs.Faulty.quiet;
+      Vfs.Faulty.power_fail env;
+      let state, release = open_ vfs in
+      { state; prefixes = (if in_flight then [ acked; acked + 1 ] else [ acked ]);
+        acked_durable = true; note = ""; catchups = (0, 0); release }
+    in
+    { store; env; apply = Trace.apply ~reraise:is_crash ~layout store;
+      before_op = ignore; recover; close }
+  in
+  { name; fresh }
+
+let oracle ~gen_seed ~level =
+  local ~name:"memdb" ~gen_seed ~level (fun _ ->
+      (Backend.Instance ((module M : Backend.S with type t = M.t), M.create ()),
+       ignore))
+
+let disk_instance db =
+  Backend.Instance ((module D : Backend.S with type t = D.t), db)
+
+let quietly close db () = try close db with Storage_error.Error _ -> ()
+
+(* Small pools / caches keep the eviction, overflow and group-fetch
+   paths hot at fuzzing sizes.  Durable stores enable group commit with
+   a zero hold window: the fuzzers are single-threaded, so every group
+   has one member and the barrier fires immediately — same
+   fsync-per-commit semantics, but the whole scheduler path
+   (register/lead/poison) runs under crash injection. *)
+let disk_config ~durable ~remote vfs =
+  let cfg =
+    { (D.default_config ~path:"/fuzz/disk.db") with
+      pool_pages = 96; object_cache = 64; uid_hash_index = true; remote;
+      prefetch = remote <> None; vfs = Some vfs }
+  in
+  if not durable then cfg
+  else
+    { cfg with
+      durable_sync = true;
+      group_commit =
+        Some { Hyper_storage.Group_commit.max_batch = 8; max_hold_ns = 0.0 } }
+
+let crash_config vfs = disk_config ~durable:true ~remote:None vfs
+
+type kind = Disk | Disk_remote | Rel
+
+let kind_name = function
+  | Disk -> "diskdb"
+  | Disk_remote -> "diskdb-remote"
+  | Rel -> "reldb"
+
+let all_kinds = [ Disk; Disk_remote; Rel ]
+let kind_of_name n = List.find_opt (fun k -> kind_name k = n) all_kinds
+
+let subject ?(durable = false) ~gen_seed ~level kind =
+  local ~name:(kind_name kind) ~gen_seed ~level (fun vfs ->
+      match kind with
+      | Disk | Disk_remote ->
         let remote =
           if kind = Disk_remote then Some Hyper_net.Channel.profile_test
           else None
         in
-        let db = D.open_db (disk_config ~remote ~prefetch:(kind = Disk_remote) vfs) in
-        generate_disk db ~gen_seed ~level;
-        ( Backend.Instance ((module D : Backend.S with type t = D.t), db),
-          fun () -> try D.close db with Storage_error.Error _ -> () )
-    | Rel ->
-        let db = R.open_db (rel_config vfs) in
-        let module G = Generator.Make (R) in
-        ignore (G.generate db ~doc:1 ~leaf_level:level ~seed:gen_seed);
-        ( Backend.Instance ((module R : Backend.S with type t = R.t), db),
-          fun () -> try R.close db with Storage_error.Error _ -> () )
-  in
-  { h_name = kind_name kind; h_fresh = fresh }
+        let db = D.open_db (disk_config ~durable ~remote vfs) in
+        (disk_instance db, quietly D.close db)
+      | Rel ->
+        let db =
+          R.open_db
+            { (R.default_config ~path:"/fuzz/rel.db") with
+              pool_pages = 96; durable_sync = durable; vfs = Some vfs }
+        in
+        (Backend.Instance ((module R : Backend.S with type t = R.t), db),
+         quietly R.close db))
 
-let with_verify ops = ops @ [ Trace.Verify_checks ]
+(* {2 The differential check} *)
 
-let check ?(final_verify = true) ~layout ~oracle ~subject ops =
-  let ops = if final_verify then with_verify ops else ops in
-  let o_inst, o_close = oracle.h_fresh () in
-  let s_inst, s_close = subject.h_fresh () in
+let diverge ~backend oracle subject ops =
   let rec go i = function
     | [] -> None
     | op :: rest ->
-        let o_out = Trace.apply ~layout o_inst op in
-        let s_out = Trace.apply ~layout s_inst op in
-        if Trace.outcome_equal o_out s_out then go (i + 1) rest
-        else
-          Some
-            {
-              step = i;
-              op;
-              oracle = o_out;
-              subject = s_out;
-              backend = subject.h_name;
-            }
+      let o = oracle op in
+      let s = subject op in
+      if Trace.outcome_equal o s then go (i + 1) rest
+      else Some { step = i; op; oracle = o; subject = s; backend }
   in
-  let d = go 0 ops in
-  o_close ();
-  s_close ();
+  go 0 ops
+
+let check ~oracle ~subject ops =
+  let ops = ops @ [ Trace.Verify_checks ] in
+  let o = oracle.fresh () in
+  let s = subject.fresh () in
+  let d = diverge ~backend:subject.name o.apply s.apply ops in
+  o.close ();
+  s.close ();
   d
 
-(* {2 Shrinking} *)
+(* Shrinking *)
 
 (* A chunk is the unit whole-removal preserves trace shape on: a full
    Begin .. Commit/Abort block, or one op outside any block. *)
@@ -173,12 +202,12 @@ let truncate_after ops step =
 
 let remove_nth l n = List.filteri (fun i _ -> i <> n) l
 
-let shrink ~layout ~oracle ~subject ops d =
+let shrink ~oracle ~subject ops d =
   let best_d = ref d in
   let attempt candidate =
     if candidate = [] then None
     else
-      match check ~layout ~oracle ~subject candidate with
+      match check ~oracle ~subject candidate with
       | Some d ->
           best_d := d;
           Some candidate
@@ -240,53 +269,6 @@ let shrink ~layout ~oracle ~subject ops d =
   done;
   (!current, !best_d)
 
-(* {2 One fuzz case} *)
-
-type case = {
-  seed : int64;
-  gen_seed : int64;
-  level : int;
-  steps : int;
-  subjects : kind list;
-}
-
-type finding = {
-  f_case : case;
-  f_backend : string;
-  f_minimal : Trace.op list;
-  f_divergence : divergence;
-}
-
-let run_case case =
-  let ops =
-    Gen.trace ~seed:case.seed ~gen_seed:case.gen_seed ~level:case.level
-      ~steps:case.steps
-  in
-  let oracle, layout =
-    oracle_harness ~gen_seed:case.gen_seed ~level:case.level
-  in
-  let rec try_subjects = function
-    | [] -> None
-    | kind :: rest -> (
-        let subject =
-          subject_harness ~gen_seed:case.gen_seed ~level:case.level kind
-        in
-        match check ~layout ~oracle ~subject ops with
-        | None -> try_subjects rest
-        | Some d ->
-            let minimal, min_d = shrink ~layout ~oracle ~subject ops d in
-            Some
-              {
-                f_case = case;
-                f_backend = subject.h_name;
-                f_minimal = minimal;
-                f_divergence = min_d;
-              })
-  in
-  try_subjects case.subjects
-
-(* {2 Crash-point interleaving} *)
-
 (* Every oid the probe suite must look at: the generated structure plus
    everything the trace ever created (probing since-deleted or
    never-committed oids is fine — both sides must fail identically). *)
@@ -346,160 +328,76 @@ let prefix_through_commit ops n =
     in
     go [] 0 ops
 
-let fresh_oracle_at ~gen_seed ~level prefix =
-  let b = M.create () in
-  let module G = Generator.Make (M) in
-  let layout, _ = G.generate b ~doc:1 ~leaf_level:level ~seed:gen_seed in
-  let inst = Backend.Instance ((module M : Backend.S with type t = M.t), b) in
-  List.iter (fun op -> ignore (Trace.apply ~layout inst op)) prefix;
-  (inst, layout)
-
-let compare_probes ~layout ~backend oracle_inst subject_inst probes =
-  let rec go i = function
-    | [] -> None
-    | op :: rest ->
-        let o = Trace.apply ~layout oracle_inst op in
-        let s = Trace.apply ~layout subject_inst op in
-        if Trace.outcome_equal o s then go (i + 1) rest
-        else Some { step = i; op; oracle = o; subject = s; backend }
+let verdict ~gen_seed ~level ~backend ops state prefixes =
+  let layout = layout_of ~level in
+  let probes = probe_trace layout ops in
+  let at k =
+    let o = (oracle ~gen_seed ~level).fresh () in
+    List.iter (fun op -> ignore (o.apply op)) (prefix_through_commit ops k);
+    diverge ~backend o.apply (Trace.apply ~layout state) probes
   in
-  go 0 probes
+  match List.find_opt (fun k -> Option.is_none (at k)) prefixes with
+  | Some k -> (Some k, None)
+  | None -> (None, at (List.hd prefixes))
 
-(* Crash-mode subject: local diskdb, durable_sync on (an acked commit
-   must survive the power failure by its own fsync, not by luck).  Group
-   commit is enabled with a zero hold window: the fuzzers are
-   single-threaded, so every group has one member and the barrier fires
-   immediately — same fsync-per-commit semantics, but the whole
-   scheduler path (register/lead/poison) runs under crash injection. *)
-let crash_cfg vfs =
-  {
-    (disk_config ~durable_sync:true ~remote:None ~prefetch:false vfs) with
-    D.group_commit =
-      Some { Hyper_storage.Group_commit.max_batch = 8; max_hold_ns = 0.0 };
-  }
-let crash_config = crash_cfg
+type crash_report = {
+  crash_step : int option;
+  acked : int;
+  in_flight : bool;
+  matched : int option;
+  acked_lost : bool;
+  divergence : divergence option;
+  note : string;
+  catchups : int * int;
+}
 
-let crash_writes ~gen_seed ~level ops =
-  let env = Vfs.Faulty.create Vfs.Faulty.quiet in
-  let vfs = Vfs.Faulty.vfs env in
-  let db = D.open_db (crash_cfg vfs) in
-  generate_disk db ~gen_seed ~level;
-  let layout = layout_of ~gen_seed ~level in
-  let inst = Backend.Instance ((module D : Backend.S with type t = D.t), db) in
-  let before = Vfs.Faulty.write_count env in
-  List.iter (fun op -> ignore (Trace.apply ~layout inst op)) ops;
-  let after = Vfs.Faulty.write_count env in
-  (try D.close db with Storage_error.Error _ -> ());
-  after - before
+let crash_ok r = (not r.acked_lost) && r.divergence = None
 
-type crash_report =
-  | Crash_clean of { crash_step : int option; acked : int }
-  | Crash_diverged of {
-      crash_step : int;
-      acked : int;
-      in_flight : bool;
-      divergence : divergence;
-    }
+let pp_crash_report ppf r =
+  Format.fprintf ppf "@[<v>%s, %d acked commit(s)%s, recovered prefix %s%s%s"
+    (match r.crash_step with
+    | Some s -> Printf.sprintf "crash at step %d" s
+    | None -> "no crash")
+    r.acked
+    (if r.in_flight then ", commit in flight" else "")
+    (match r.matched with Some k -> string_of_int k | None -> "none")
+    (if r.note = "" then "" else "; " ^ r.note)
+    (if r.acked_lost then " ACKED-COMMIT-LOST" else "");
+  Option.iter (Format.fprintf ppf "@,%a" pp_divergence) r.divergence;
+  Format.fprintf ppf "@]"
 
-let crash_check ~gen_seed ~level ~crash_after ops =
-  let env = Vfs.Faulty.create Vfs.Faulty.quiet in
-  let vfs = Vfs.Faulty.vfs env in
-  let db = D.open_db (crash_cfg vfs) in
-  generate_disk db ~gen_seed ~level;
-  let layout = layout_of ~gen_seed ~level in
-  let inst = Backend.Instance ((module D : Backend.S with type t = D.t), db) in
-  Vfs.Faulty.arm_crash env ~after_writes:crash_after ();
-  let is_crash = function Vfs.Crash -> true | _ -> false in
+let crash_writes subject ops =
+  let i = subject.fresh () in
+  let before = Vfs.Faulty.write_count i.env in
+  List.iter (fun op -> ignore (i.apply op)) ops;
+  let writes = Vfs.Faulty.write_count i.env - before in
+  i.close ();
+  writes
+
+let crash_check ~gen_seed ~level ~crash_after subject ops =
+  let i = subject.fresh () in
+  if crash_after > 0 then Vfs.Faulty.arm_crash i.env ~after_writes:crash_after ();
   let acked = ref 0 in
   let crash = ref None in
   (try
      List.iteri
-       (fun i op ->
-         match Trace.apply ~reraise:is_crash ~layout inst op with
+       (fun n op ->
+         i.before_op n;
+         match i.apply op with
          | outcome ->
-             if op = Trace.Commit && outcome = Trace.Done Trace.V_unit then
-               incr acked
-         | exception Vfs.Crash ->
-             crash := Some (i, op = Trace.Commit);
-             raise Exit)
+           if op = Trace.Commit && outcome = Trace.Done Trace.V_unit then
+             incr acked
+         | exception e when is_crash e ->
+           crash := Some (n, op = Trace.Commit);
+           raise Exit)
        ops
    with Exit -> ());
-  (* Power-fail, disarm, reopen: recovery replays the WAL over whatever
-     the simulated disk retained. *)
-  Vfs.Faulty.set_plan env Vfs.Faulty.quiet;
-  Vfs.Faulty.power_fail env;
-  let recovered = D.open_db (crash_cfg vfs) in
-  let rec_inst =
-    Backend.Instance ((module D : Backend.S with type t = D.t), recovered)
+  let in_flight = match !crash with Some (_, c) -> c | None -> false in
+  let r = i.recover ~crashed:(!crash <> None) ~acked:!acked ~in_flight in
+  let matched, divergence =
+    verdict ~gen_seed ~level ~backend:subject.name ops r.state r.prefixes
   in
-  let probes = probe_trace layout ops in
-  let compare_at n =
-    let oracle_inst, _ =
-      fresh_oracle_at ~gen_seed ~level (prefix_through_commit ops n)
-    in
-    compare_probes ~layout ~backend:"diskdb-crash" oracle_inst rec_inst probes
-  in
-  let result =
-    match !crash with
-    | None -> (
-        (* Crash point past the trace's writes: plain final-state check. *)
-        match compare_at !acked with
-        | None -> Crash_clean { crash_step = None; acked = !acked }
-        | Some d ->
-            Crash_diverged
-              {
-                crash_step = List.length ops;
-                acked = !acked;
-                in_flight = false;
-                divergence = d;
-              })
-    | Some (step, in_flight) -> (
-        match compare_at !acked with
-        | None -> Crash_clean { crash_step = Some step; acked = !acked }
-        | Some d ->
-            if in_flight then
-              match compare_at (!acked + 1) with
-              | None -> Crash_clean { crash_step = Some step; acked = !acked + 1 }
-              | Some _ ->
-                  Crash_diverged
-                    {
-                      crash_step = step;
-                      acked = !acked;
-                      in_flight;
-                      divergence = d;
-                    }
-            else
-              Crash_diverged
-                { crash_step = step; acked = !acked; in_flight; divergence = d })
-  in
-  (try D.close recovered with Storage_error.Error _ -> ());
-  result
-
-(* {2 Repro files} *)
-
-let save_repro ~path ~gen_seed ~level ops =
-  let oc = open_out path in
-  Printf.fprintf oc "# hyperfuzz v1 gen_seed=%Ld level=%d\n" gen_seed level;
-  List.iter (fun op -> output_string oc (Trace.op_to_string op ^ "\n")) ops;
-  close_out oc
-
-let load_repro ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let header = input_line ic in
-      let gen_seed, level =
-        try Scanf.sscanf header "# hyperfuzz v1 gen_seed=%Ld level=%d" (fun g l -> (g, l))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-          failwith (path ^ ": bad hyperfuzz header: " ^ header)
-      in
-      let ops = ref [] in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           if line <> "" && line.[0] <> '#' then
-             ops := Trace.op_of_string line :: !ops
-         done
-       with End_of_file -> ());
-      (gen_seed, level, List.rev !ops))
+  r.release ();
+  { crash_step = Option.map fst !crash; acked = !acked; in_flight; matched;
+    acked_lost = r.acked_durable && List.for_all (fun k -> !acked > k) r.prefixes;
+    divergence; note = r.note; catchups = r.catchups }

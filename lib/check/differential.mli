@@ -1,31 +1,28 @@
-(** Differential execution: one trace, one oracle, N subjects.
+(** The fuzz harness: one trace, one oracle, one subject.
 
     The oracle is always memdb — the simplest backend, kept
-    deliberately free of caching, paging and recovery machinery.  Every
-    subject replays the same trace over the same generated database
-    ([gen_seed]/[level]); the first step whose normalised outcome
-    ({!Hyper_core.Trace.outcome}) differs from the oracle's is a
-    divergence.  A final {!Hyper_core.Trace.Verify_checks} is appended
-    so structural corruption that no generated read happened to observe
-    still fails the run.
+    deliberately free of caching, paging and recovery machinery.  A
+    subject is a fresh store over the in-memory fault-injecting VFS
+    ({!Hyper_storage.Vfs.Faulty}) and the generated database
+    ([gen_seed]/[level]): a local backend, the same behind the socket
+    stack ({!Netcheck}), or a replicated primary ({!Failover}).
+
+    Two checks run a subject:
+    - {!check} replays a trace op by op; the first step whose
+      normalised outcome ({!Hyper_core.Trace.outcome}) differs from the
+      oracle's is a divergence, and {!shrink} minimises it;
+    - {!crash_check} is the crash loop: replay with a crash armed [k]
+      mutating VFS ops past setup (and the subject's own faults), stop
+      at the crash, recover, and hand the recovered state to the one
+      acked-prefix verdict ({!verdict}).
 
     Everything here is deterministic: equal inputs find equal
     divergences and shrink them to equal minimal repros. *)
 
 open Hyper_core
 
-(** Disk-backed subjects.  [Disk_remote] runs diskdb over the simulated
-    workstation/server channel ({!Hyper_net.Channel.profile_test}) with
-    traversal prefetch on, so group fetches are differentially checked
-    too. *)
-type kind = Disk | Disk_remote | Rel
-
-val kind_name : kind -> string
-val kind_of_name : string -> kind option
-val all_kinds : kind list
-
 type divergence = {
-  step : int;  (** 0-based index into the (verify-extended) trace *)
+  step : int;  (** 0-based index into the checked op list *)
   op : Trace.op;
   oracle : Trace.outcome;
   subject : Trace.outcome;
@@ -34,33 +31,94 @@ type divergence = {
 
 val pp_divergence : Format.formatter -> divergence -> unit
 
-(** A recipe for building fresh, identically-seeded instances of one
-    backend — shrinking re-runs candidate traces from scratch, so a
-    subject is a constructor, not a connection. *)
-type harness = {
-  h_name : string;
-  h_fresh : unit -> Backend.instance * (unit -> unit);
-      (** instance over a freshly generated database, plus its closer *)
+val layout_of : level:int -> Layout.t
+
+(** {2 Subjects} *)
+
+val is_crash : exn -> bool
+(** The exceptions that mean "the subject crashed": a local
+    {!Hyper_storage.Vfs.Crash}, or {!Hyper_net.Client.Connection_lost}
+    from a server its [reraise] hook killed. *)
+
+(** A subject's state after the crash loop, and the commit prefixes it
+    may legally equal. *)
+type recovered = {
+  state : Backend.instance;  (** what the probes read *)
+  prefixes : int list;  (** allowed commit counts, tried in order *)
+  acked_durable : bool;
+      (** every acked commit must lie within the matched prefix *)
+  note : string;  (** subject facts for the report (survivor, ...) *)
+  catchups : int * int;  (** replication snapshot / log-replay catch-ups *)
+  release : unit -> unit;
 }
 
-val oracle_harness : gen_seed:int64 -> level:int -> harness * Layout.t
-val subject_harness : gen_seed:int64 -> level:int -> kind -> harness
+type instance = {
+  store : Backend.instance;  (** the local store (what a server serves) *)
+  env : Hyper_storage.Vfs.Faulty.env;  (** the VFS crashes are armed on *)
+  apply : Trace.op -> Trace.outcome;  (** raises an {!is_crash} exception *)
+  before_op : int -> unit;  (** the subject's fault schedule, before op [i] *)
+  recover : crashed:bool -> acked:int -> in_flight:bool -> recovered;
+      (** after the loop, whether or not the crash fired: power-fail
+          (or fail over) and reopen *)
+  close : unit -> unit;
+}
+
+(** A constructor, not a connection: shrinking and the crash loop need
+    fresh, identically-seeded instances. *)
+type subject = { name : string; fresh : unit -> instance }
+
+val generate : gen_seed:int64 -> level:int -> Backend.instance -> unit
+(** Build the generated database into an empty store. *)
+
+val local :
+  name:string ->
+  gen_seed:int64 ->
+  level:int ->
+  (Hyper_storage.Vfs.t -> Backend.instance * (unit -> unit)) ->
+  subject
+(** A local store: [open_ vfs] opens it (and, after the power failure,
+    recovers it) with its closer.  Recovery allows the acked prefix, or
+    acked+1 when a commit was in flight at the crash. *)
+
+val oracle : gen_seed:int64 -> level:int -> subject
+
+val crash_config : Hyper_storage.Vfs.t -> Hyper_diskdb.Diskdb.config
+(** The crash-mode diskdb configuration ([durable_sync], group commit
+    with a zero hold window, local, no prefetch, path ["/fuzz/disk.db"])
+    over the given VFS. *)
+
+val disk_instance : Hyper_diskdb.Diskdb.t -> Backend.instance
+
+val quietly : ('a -> unit) -> 'a -> unit -> unit
+(** [quietly close store] is a closer that ignores storage errors (a
+    crashed store may refuse to close cleanly). *)
+
+(** The local subjects.  [Disk_remote] runs diskdb over the simulated
+    workstation/server channel ({!Hyper_net.Channel.profile_test}) with
+    traversal prefetch on, so group fetches are checked too. *)
+type kind = Disk | Disk_remote | Rel
+
+val kind_name : kind -> string
+val kind_of_name : string -> kind option
+val all_kinds : kind list
+
+val subject : ?durable:bool -> gen_seed:int64 -> level:int -> kind -> subject
+(** [durable] (default [false]) turns on [durable_sync] (and, for the
+    disk kinds, group commit): an acked commit must survive a power
+    failure by its own fsync. *)
+
+(** {2 The differential check} *)
 
 val check :
-  ?final_verify:bool ->
-  layout:Layout.t ->
-  oracle:harness ->
-  subject:harness ->
-  Trace.op list ->
-  divergence option
+  oracle:subject -> subject:subject -> Trace.op list -> divergence option
 (** Replay the trace on fresh oracle and subject instances; return the
-    first step that disagrees.  [final_verify] (default [true]) appends
-    a trailing [Verify_checks]. *)
+    first step that disagrees.  A trailing [Verify_checks] is appended,
+    so structural corruption no generated read observed still fails the
+    run. *)
 
 val shrink :
-  layout:Layout.t ->
-  oracle:harness ->
-  subject:harness ->
+  oracle:subject ->
+  subject:subject ->
   Trace.op list ->
   divergence ->
   Trace.op list * divergence
@@ -69,93 +127,51 @@ val shrink :
     repeatedly drop whole transaction blocks / standalone ops, then
     single ops inside surviving blocks, to a fixpoint.  [Begin] and
     [Commit]/[Abort] are only ever removed together with their whole
-    block, so mutations never escape transactions (which would manufacture
-    false divergences out of memdb's leniency).  Returns the minimal
-    trace and its divergence. *)
+    block, so mutations never escape transactions (which would
+    manufacture false divergences out of memdb's leniency).  Returns
+    the minimal trace and its divergence. *)
 
-(** {2 One fuzz case end to end} *)
+(** {2 The crash loop and the acked-prefix verdict} *)
 
-type case = {
-  seed : int64;  (** trace seed *)
-  gen_seed : int64;
-  level : int;
-  steps : int;
-  subjects : kind list;
+type crash_report = {
+  crash_step : int option;  (** op the crash interrupted; [None]: never fired *)
+  acked : int;  (** commits acknowledged before the crash *)
+  in_flight : bool;  (** the crash fired during a commit *)
+  matched : int option;  (** the allowed prefix the recovered state equals *)
+  acked_lost : bool;  (** an acked commit is missing while promised *)
+  divergence : divergence option;  (** against the first allowed prefix *)
+  note : string;
+  catchups : int * int;
 }
 
-type finding = {
-  f_case : case;
-  f_backend : string;
-  f_minimal : Trace.op list;
-  f_divergence : divergence;  (** divergence of the minimal trace *)
-}
+val crash_ok : crash_report -> bool
+val pp_crash_report : Format.formatter -> crash_report -> unit
 
-val run_case : case -> finding option
-(** Generate the trace for [case.seed], check every subject, and on the
-    first divergence shrink it (against the diverging subject only). *)
-
-(** {2 Crash-point interleaving}
-
-    Oracle-checked recovery: replay the trace on a disk subject with a
-    crash armed [k] mutating VFS ops past setup, power-fail at the
-    crash, reopen (running WAL recovery), then compare the recovered
-    state — via an exhaustive per-node probe — against the oracle
-    replaying exactly the acked-commit prefix of the trace.  If the
-    crash interrupted a commit, the commit record may or may not have
-    reached the WAL, so either the acked or the acked+1 prefix must
-    match. *)
-
-type crash_report =
-  | Crash_clean of { crash_step : int option; acked : int }
-      (** recovered state matched; [crash_step = None] means [k]
-          exceeded the writes the trace performs (nothing crashed, full
-          run compared instead) *)
-  | Crash_diverged of {
-      crash_step : int;
-      acked : int;
-      in_flight : bool;  (** crash fired during a commit *)
-      divergence : divergence;
-    }
-
-val crash_writes : gen_seed:int64 -> level:int -> Trace.op list -> int
-(** Dry run on an unfaulted disk subject: how many mutating VFS ops the
+val crash_writes : subject -> Trace.op list -> int
+(** Dry run on an unfaulted instance: how many mutating VFS ops the
     trace performs after setup — the size of the crash-point space. *)
 
 val crash_check :
-  gen_seed:int64 -> level:int -> crash_after:int -> Trace.op list -> crash_report
-
-(** {2 Probe machinery} — exported for the failover harness
-    ({!Failover}), which compares a promoted replica against an oracle
-    replay of the acked prefix using the same exhaustive probes. *)
-
-val crash_config : Hyper_storage.Vfs.t -> Hyper_diskdb.Diskdb.config
-(** The crash-mode diskdb configuration ([durable_sync], local, no
-    prefetch, path ["/fuzz/disk.db"]) over the given VFS. *)
-
-val probe_trace : Layout.t -> Trace.op list -> Trace.op list
-(** Exhaustive read-only probe of every OID the layout or the trace
-    mentions, plus the scans, ranges and a final [Verify_checks]. *)
-
-val prefix_through_commit : Trace.op list -> int -> Trace.op list
-(** The trace prefix covering the first [n] commits (inclusive). *)
-
-val fresh_oracle_at :
-  gen_seed:int64 -> level:int -> Trace.op list -> Backend.instance * Layout.t
-(** A fresh memdb oracle over the generated database with the given
-    trace prefix applied. *)
-
-val compare_probes :
-  layout:Layout.t ->
-  backend:string ->
-  Backend.instance ->
-  Backend.instance ->
+  gen_seed:int64 ->
+  level:int ->
+  crash_after:int ->
+  subject ->
   Trace.op list ->
-  divergence option
+  crash_report
+(** Arm a crash after [crash_after] mutating VFS ops (0: none), replay
+    until the subject crashes, recover, and judge the recovered state
+    with {!verdict}. *)
 
-(** {2 Repro files} — printed by the fuzzer, replayed by tests. *)
-
-val save_repro :
-  path:string -> gen_seed:int64 -> level:int -> Trace.op list -> unit
-
-val load_repro : path:string -> int64 * int * Trace.op list
-(** @raise Failure on a malformed file. *)
+val verdict :
+  gen_seed:int64 ->
+  level:int ->
+  backend:string ->
+  Trace.op list ->
+  Backend.instance ->
+  int list ->
+  int option * divergence option
+(** [verdict ops state prefixes]: the first commit count [k] in
+    [prefixes] at which an exhaustive read-only probe of every OID the
+    layout or [ops] mentions (plus scans, ranges and [Verify_checks])
+    agrees with a memdb oracle replaying [ops] through its [k]-th
+    commit; otherwise the divergence against the first [k]. *)

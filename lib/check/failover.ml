@@ -1,69 +1,17 @@
-open Hyper_core
-module Vfs = Hyper_storage.Vfs
-module Storage_error = Hyper_storage.Storage_error
 module D = Hyper_diskdb.Diskdb
-module Link = Hyper_net.Channel.Link
 module Repl = Hyper_repl.Repl
 module Replica = Hyper_repl.Repl.Replica
 module Cluster = Hyper_repl.Repl.Cluster
 
-type fcase = {
-  fo_seed : int64;  (** trace seed and link fault seed *)
-  fo_gen_seed : int64;
-  fo_level : int;
-  fo_steps : int;
-  fo_policy : Repl.policy;
-  fo_replicas : int;
-  fo_crash_after : int;  (** primary crash point in mutating vfs ops; 0 = no crash *)
-  fo_net_faults : bool;  (** drop/duplicate/reorder/delay on the links *)
-  fo_kill_at : (int * int) option;  (** (replica index, op step) to crash *)
-  fo_restart_at : int option;  (** op step to restart the killed replica *)
-  fo_retain : int;  (** retained log records (small forces snapshot catch-up) *)
-  fo_snapshot_lag : int;
+type config = {
+  policy : Repl.policy;
+  replicas : int;
+  net_faults : bool;
+  kill_at : (int * int) option;
+  restart_at : int option;
+  retain : int;
+  snapshot_lag : int;
 }
-
-let pp_fcase ppf c =
-  Format.fprintf ppf
-    "seed=%Ld gen=%Ld level=%d steps=%d policy=%s replicas=%d crash@%d \
-     net=%b kill=%s restart=%s retain=%d snap_lag=%d"
-    c.fo_seed c.fo_gen_seed c.fo_level c.fo_steps
-    (Repl.policy_to_string c.fo_policy)
-    c.fo_replicas c.fo_crash_after c.fo_net_faults
-    (match c.fo_kill_at with
-    | Some (r, s) -> Printf.sprintf "r%d@%d" r s
-    | None -> "-")
-    (match c.fo_restart_at with Some s -> string_of_int s | None -> "-")
-    c.fo_retain c.fo_snapshot_lag
-
-type report = {
-  r_case : fcase;
-  r_acked : int;  (** commits acknowledged to the client *)
-  r_survivor : int;  (** promoted replica index *)
-  r_survivor_commits : int;  (** commits present on the survivor *)
-  r_crashed : bool;  (** the primary crash point fired *)
-  r_degraded : bool;  (** primary went read-only on quorum loss *)
-  r_snapshots : int;  (** snapshot catch-ups shipped *)
-  r_replays : int;  (** log-replay catch-ups shipped *)
-  r_acked_lost : bool;  (** an acked commit is missing on the survivor *)
-  r_divergence : Differential.divergence option;
-}
-
-let ok r = (not r.r_acked_lost) && r.r_divergence = None
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>%a@,acked=%d survivor=r%d commits=%d crashed=%b degraded=%b \
-     snapshots=%d replays=%d%s%a@]"
-    pp_fcase r.r_case r.r_acked r.r_survivor r.r_survivor_commits r.r_crashed
-    r.r_degraded r.r_snapshots r.r_replays
-    (if r.r_acked_lost then " ACKED-COMMIT-LOST" else "")
-    (fun ppf -> function
-      | None -> ()
-      | Some d ->
-        Format.fprintf ppf "@,%a" Differential.pp_divergence d)
-    r.r_divergence
-
-let layout_of ~level = Layout.make ~doc:1 ~oid_base:0 ~leaf_level:level ()
 
 (* Replica acks a commit needs beyond the primary's own vote, mirroring
    the cluster's policy arithmetic. *)
@@ -73,192 +21,70 @@ let required_acks policy replicas =
   | Repl.Sync_one -> 1
   | Repl.Quorum -> (replicas + 1) / 2
 
-(* One failover scenario end to end: build a replicated primary over
-   the generated database, run the trace with the configured primary
-   crash point / replica kill / link faults, promote the best survivor,
-   open it as an ordinary store and diff it — with the differential
-   fuzzer's exhaustive probes — against a fresh oracle replaying
-   exactly the survivor's committed prefix.
-
-   Two invariants:
-   - {e prefix consistency} (all policies): the survivor equals the
-     oracle at some commit-count prefix k of the trace — replica logs
-     are gap-free prefixes, so nothing partial and nothing reordered
-     survives a failover;
-   - {e acked durability} (sync-one / quorum, while the number of dead
-     replicas at promotion is below the policy's required ack count):
-     every client-acknowledged commit is within that prefix, acked <= k. *)
-let failover_check (c : fcase) =
-  let ops =
-    Gen.trace ~seed:c.fo_seed ~gen_seed:c.fo_gen_seed ~level:c.fo_level
-      ~steps:c.fo_steps
+let subject ~seed ~gen_seed ~level c =
+  let layout = Differential.layout_of ~level in
+  let fresh () =
+    let env = Hyper_storage.Vfs.Faulty.create Hyper_storage.Vfs.Faulty.quiet in
+    let vfs = Hyper_storage.Vfs.Faulty.vfs env in
+    let db = D.open_db (Differential.crash_config vfs) in
+    let store = Differential.disk_instance db in
+    Differential.generate ~gen_seed ~level store;
+    (* The cluster forms after generation, so replica commit counts map
+       1:1 onto the trace's commit prefix. *)
+    let cluster =
+      Cluster.create
+        ~cfg:
+          { Cluster.default_config with
+            policy = c.policy; retain_records = c.retain;
+            snapshot_lag = c.snapshot_lag;
+            link_plan =
+              (if c.net_faults then Hyper_net.Channel.Link.faulty ~seed
+               else Hyper_net.Channel.Link.reliable) }
+        ~engine:(D.engine db) ~vfs ~path:"/fuzz/disk.db"
+        ~replicas:
+          (List.init c.replicas (fun i ->
+               Replica.create ~name:(Printf.sprintf "s%Ld-r%d" seed i) ()))
+        ()
+    in
+    let before_op i =
+      (match c.kill_at with
+      | Some (r, at) when at = i -> Cluster.kill_replica cluster r
+      | Some _ | None -> ());
+      (match (c.restart_at, c.kill_at) with
+      | Some at, Some (r, _) when at = i -> Cluster.restart_replica cluster r
+      | (Some _ | None), _ -> ());
+      if i > 0 && i mod 16 = 0 then Cluster.heartbeat cluster
+    in
+    let recover ~crashed ~acked:_ ~in_flight:_ =
+      (* A surviving primary settles its tail (async mode ships without
+         waiting); a crashed one is gone and must not be touched. *)
+      if not crashed then Cluster.heartbeat cluster;
+      let dead = ref 0 in
+      for i = 0 to Cluster.n_replicas cluster - 1 do
+        if not (Replica.up (Cluster.replica cluster i)) then incr dead
+      done;
+      let counters = Cluster.counters cluster in
+      let idx, survivor = Cluster.promote cluster in
+      let k = Replica.applied_commits survivor in
+      let promoted =
+        D.open_db
+          { (Differential.crash_config (Replica.vfs survivor)) with
+            D.path = Replica.path survivor }
+      in
+      { Differential.state = Differential.disk_instance promoted;
+        prefixes = [ k ];
+        (* With [required] replica acks per commit, up to [required - 1]
+           replica losses (plus the primary) cannot take the last acked
+           commit with them. *)
+        acked_durable = !dead < required_acks c.policy c.replicas;
+        note =
+          Printf.sprintf "policy=%s survivor=r%d degraded=%b"
+            (Repl.policy_to_string c.policy) idx (Cluster.degraded cluster);
+        catchups = (counters.Cluster.snapshots, counters.Cluster.replays);
+        release = Differential.quietly D.close promoted }
+    in
+    let close = Differential.quietly D.close db in
+    let apply = Hyper_core.Trace.apply ~reraise:Differential.is_crash ~layout in
+    { Differential.store; env; apply = apply store; before_op; recover; close }
   in
-  let layout = layout_of ~level:c.fo_level in
-  let env = Vfs.Faulty.create Vfs.Faulty.quiet in
-  let vfs = Vfs.Faulty.vfs env in
-  let db = D.open_db (Differential.crash_config vfs) in
-  let module G = Generator.Make (D) in
-  ignore (G.generate db ~doc:1 ~leaf_level:c.fo_level ~seed:c.fo_gen_seed);
-  (* The cluster forms after generation, so replica commit counts map
-     1:1 onto the trace's commit prefix. *)
-  let replicas =
-    List.init c.fo_replicas (fun i ->
-        Replica.create ~name:(Printf.sprintf "s%Ld-r%d" c.fo_seed i) ())
-  in
-  let cfg =
-    { Cluster.default_config with
-      Cluster.policy = c.fo_policy;
-      retain_records = c.fo_retain;
-      snapshot_lag = c.fo_snapshot_lag;
-      link_plan =
-        (if c.fo_net_faults then Link.faulty ~seed:c.fo_seed
-         else Link.reliable) }
-  in
-  let cluster =
-    Cluster.create ~cfg ~engine:(D.engine db) ~vfs ~path:"/fuzz/disk.db"
-      ~replicas ()
-  in
-  let inst = Backend.Instance ((module D : Backend.S with type t = D.t), db) in
-  if c.fo_crash_after > 0 then
-    Vfs.Faulty.arm_crash env ~after_writes:c.fo_crash_after ();
-  let is_crash = function Vfs.Crash -> true | _ -> false in
-  let acked = ref 0 in
-  let crashed = ref false in
-  (try
-     List.iteri
-       (fun i op ->
-         (match c.fo_kill_at with
-         | Some (r, at) when at = i -> Cluster.kill_replica cluster r
-         | Some _ | None -> ());
-         (match (c.fo_restart_at, c.fo_kill_at) with
-         | Some at, Some (r, _) when at = i -> Cluster.restart_replica cluster r
-         | (Some _ | None), _ -> ());
-         if i > 0 && i mod 16 = 0 then Cluster.heartbeat cluster;
-         match Trace.apply ~reraise:is_crash ~layout inst op with
-         | outcome ->
-           if op = Trace.Commit && outcome = Trace.Done Trace.V_unit then
-             incr acked
-         | exception Vfs.Crash ->
-           crashed := true;
-           raise Exit)
-       ops
-   with Exit -> ());
-  (* A surviving primary settles its tail (async mode ships without
-     waiting); a crashed one is gone and must not be touched. *)
-  if not !crashed then Cluster.heartbeat cluster;
-  let dead =
-    let n = ref 0 in
-    for i = 0 to Cluster.n_replicas cluster - 1 do
-      if not (Replica.up (Cluster.replica cluster i)) then incr n
-    done;
-    !n
-  in
-  let counters = Cluster.counters cluster in
-  let survivor_idx, survivor = Cluster.promote cluster in
-  let k = Replica.applied_commits survivor in
-  let recovered =
-    D.open_db
-      { (Differential.crash_config (Replica.vfs survivor)) with
-        D.path = Replica.path survivor }
-  in
-  let rec_inst =
-    Backend.Instance ((module D : Backend.S with type t = D.t), recovered)
-  in
-  let probes = Differential.probe_trace layout ops in
-  let oracle_inst, _ =
-    Differential.fresh_oracle_at ~gen_seed:c.fo_gen_seed ~level:c.fo_level
-      (Differential.prefix_through_commit ops k)
-  in
-  let divergence =
-    Differential.compare_probes ~layout
-      ~backend:("failover-" ^ Repl.policy_to_string c.fo_policy)
-      oracle_inst rec_inst probes
-  in
-  (try D.close recovered with Storage_error.Error _ -> ());
-  (* Acked durability is a promise only while failures stay below the
-     ack requirement: with [required] replica acks per commit, up to
-     [required - 1] replica losses (plus the primary) cannot take the
-     last acked commit with them. *)
-  let guarantee = dead < required_acks c.fo_policy c.fo_replicas in
-  { r_case = c;
-    r_acked = !acked;
-    r_survivor = survivor_idx;
-    r_survivor_commits = k;
-    r_crashed = !crashed;
-    r_degraded = Cluster.degraded cluster;
-    r_snapshots = counters.Cluster.snapshots;
-    r_replays = counters.Cluster.replays;
-    r_acked_lost = guarantee && !acked > k;
-    r_divergence = divergence }
-
-(* ------------------------------------------------------------------ *)
-(* Repro files: same spirit as Differential.save_repro — enough fields
-   to rebuild the fcase exactly, one per line. *)
-
-let save_repro ~path (c : fcase) =
-  let oc = open_out path in
-  Printf.fprintf oc "# hyperfuzz-failover v1\n";
-  Printf.fprintf oc "seed %Ld\n" c.fo_seed;
-  Printf.fprintf oc "gen_seed %Ld\n" c.fo_gen_seed;
-  Printf.fprintf oc "level %d\n" c.fo_level;
-  Printf.fprintf oc "steps %d\n" c.fo_steps;
-  Printf.fprintf oc "policy %s\n" (Repl.policy_to_string c.fo_policy);
-  Printf.fprintf oc "replicas %d\n" c.fo_replicas;
-  Printf.fprintf oc "crash_after %d\n" c.fo_crash_after;
-  Printf.fprintf oc "net_faults %b\n" c.fo_net_faults;
-  (match c.fo_kill_at with
-  | Some (r, s) -> Printf.fprintf oc "kill %d %d\n" r s
-  | None -> ());
-  (match c.fo_restart_at with
-  | Some s -> Printf.fprintf oc "restart %d\n" s
-  | None -> ());
-  Printf.fprintf oc "retain %d\n" c.fo_retain;
-  Printf.fprintf oc "snapshot_lag %d\n" c.fo_snapshot_lag;
-  close_out oc
-
-let load_repro ~path =
-  let ic = open_in path in
-  let fail fmt = Printf.ksprintf (fun s -> failwith (path ^ ": " ^ s)) fmt in
-  let case =
-    ref
-      { fo_seed = 0L; fo_gen_seed = 0L; fo_level = 4; fo_steps = 0;
-        fo_policy = Repl.Async; fo_replicas = 2; fo_crash_after = 0;
-        fo_net_faults = false; fo_kill_at = None; fo_restart_at = None;
-        fo_retain = 4096; fo_snapshot_lag = 1024 }
-  in
-  let kill = ref None in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line = "" || line.[0] = '#' then ()
-       else
-         match String.split_on_char ' ' line with
-         | [ "seed"; v ] -> case := { !case with fo_seed = Int64.of_string v }
-         | [ "gen_seed"; v ] ->
-           case := { !case with fo_gen_seed = Int64.of_string v }
-         | [ "level"; v ] -> case := { !case with fo_level = int_of_string v }
-         | [ "steps"; v ] -> case := { !case with fo_steps = int_of_string v }
-         | [ "policy"; v ] -> (
-           match Repl.policy_of_string v with
-           | Some p -> case := { !case with fo_policy = p }
-           | None -> fail "unknown policy %s" v)
-         | [ "replicas"; v ] ->
-           case := { !case with fo_replicas = int_of_string v }
-         | [ "crash_after"; v ] ->
-           case := { !case with fo_crash_after = int_of_string v }
-         | [ "net_faults"; v ] ->
-           case := { !case with fo_net_faults = bool_of_string v }
-         | [ "kill"; r; s ] -> kill := Some (int_of_string r, int_of_string s)
-         | [ "restart"; v ] ->
-           case := { !case with fo_restart_at = Some (int_of_string v) }
-         | [ "retain"; v ] -> case := { !case with fo_retain = int_of_string v }
-         | [ "snapshot_lag"; v ] ->
-           case := { !case with fo_snapshot_lag = int_of_string v }
-         | _ -> fail "malformed line %S" line
-     done
-   with
-  | End_of_file -> close_in ic
-  | e ->
-    close_in ic;
-    raise e);
-  { !case with fo_kill_at = !kill }
+  { Differential.name = "diskdb-replicated"; fresh }

@@ -1,62 +1,28 @@
-(** Failover fuzzing: crash the primary, promote, diff the survivor.
-
-    Each case builds a replicated diskdb primary (crash-mode
-    configuration: durable sync, faulty in-memory VFS), runs a
-    generated trace with an armed primary crash point, optional replica
-    crash/restart and optional message-level link faults, then promotes
-    the most-caught-up live replica and opens its files as an ordinary
+(** The replicated subject: a diskdb primary (crash-mode configuration)
+    replicating to a {!Hyper_repl.Repl.Cluster}, with its own faults —
+    message-level link faults and a replica kill/restart — on top of
+    the crash loop's primary crash point.  Recovery promotes the
+    most-caught-up live replica and opens its files as an ordinary
     store.
 
-    The promoted state is compared — with the differential fuzzer's
-    exhaustive probes — against a fresh memdb oracle replaying exactly
-    the trace prefix covering the survivor's [k] applied commits:
+    The verdict's allowed set is the survivor's applied commit count
+    [k] alone ({e prefix consistency}: replica logs are gap-free
+    prefixes, so a failover may lose a tail of unacknowledged
+    transactions but never keeps partial or reordered state).  Acked
+    durability, [acked <= k], is promised for sync-one and quorum while
+    the replicas dead at promotion stay below the policy's required ack
+    count. *)
 
-    - {e prefix consistency} (every policy): the diff must be clean —
-      a failover may lose a tail of unacknowledged transactions but
-      never partial or reordered state;
-    - {e acked durability} (sync-one and quorum, while dead replicas at
-      promotion stay below the policy's required ack count): every
-      commit acknowledged to the client is within the prefix,
-      [acked <= k]. *)
-
-type fcase = {
-  fo_seed : int64;  (** trace seed and link fault seed *)
-  fo_gen_seed : int64;
-  fo_level : int;
-  fo_steps : int;
-  fo_policy : Hyper_repl.Repl.policy;
-  fo_replicas : int;
-  fo_crash_after : int;
-      (** primary crash point in mutating vfs ops; 0 = no crash *)
-  fo_net_faults : bool;
-  fo_kill_at : (int * int) option;  (** (replica index, op step) to crash *)
-  fo_restart_at : int option;  (** op step to restart the killed replica *)
-  fo_retain : int;  (** retained records; small forces snapshot catch-up *)
-  fo_snapshot_lag : int;
+type config = {
+  policy : Hyper_repl.Repl.policy;
+  replicas : int;
+  net_faults : bool;  (** drop/duplicate/reorder/delay on the links *)
+  kill_at : (int * int) option;  (** (replica index, op step) to crash *)
+  restart_at : int option;  (** op step to restart the killed replica *)
+  retain : int;  (** retained log records; small forces snapshot catch-up *)
+  snapshot_lag : int;
 }
 
-val pp_fcase : Format.formatter -> fcase -> unit
-
-type report = {
-  r_case : fcase;
-  r_acked : int;
-  r_survivor : int;
-  r_survivor_commits : int;
-  r_crashed : bool;
-  r_degraded : bool;
-  r_snapshots : int;
-  r_replays : int;
-  r_acked_lost : bool;
-  r_divergence : Differential.divergence option;
-}
-
-val ok : report -> bool
-(** No acked commit lost and a clean survivor diff. *)
-
-val pp_report : Format.formatter -> report -> unit
-
-val failover_check : fcase -> report
-
-val save_repro : path:string -> fcase -> unit
-val load_repro : path:string -> fcase
-(** @raise Failure on a malformed file. *)
+val subject :
+  seed:int64 -> gen_seed:int64 -> level:int -> config -> Differential.subject
+(** [seed] seeds the link faults and names the replicas. *)

@@ -124,11 +124,8 @@ let store_check ~seed ~writers ~readers ~keys ~txns_per_writer =
 
 (* --- backend_check: memdb snapshot views vs an oracle replay --- *)
 
-let backend_check ~seed ~gen_seed ~level ~steps =
-  let oracle, layout = Differential.oracle_harness ~gen_seed ~level in
-  let ops = Gen.trace ~seed ~gen_seed ~level ~steps in
-  let live, close = oracle.Differential.h_fresh () in
-  let snap_every = max 8 (steps / 4) in
+let backend_check ~gen_seed ~level ~snap_every ops =
+  let live = (Differential.oracle ~gen_seed ~level).fresh () in
   let in_txn = ref false in
   let applied = ref [] in
   let since_snap = ref 0 in
@@ -136,17 +133,15 @@ let backend_check ~seed ~gen_seed ~level ~steps =
   (* views: (position, cloned instance, applied prefix newest-first) *)
   List.iter
     (fun op ->
-      (match Trace.apply ~layout live op with
-      | o ->
-        (match (op, o) with
-        | Trace.Begin, Trace.Done _ -> in_txn := true
-        | (Trace.Commit | Trace.Abort), _ -> in_txn := false
-        | _ -> ()));
+      (match (op, live.apply op) with
+      | Trace.Begin, Trace.Done _ -> in_txn := true
+      | (Trace.Commit | Trace.Abort), _ -> in_txn := false
+      | _ -> ());
       applied := op :: !applied;
       incr since_snap;
       if (not !in_txn) && !since_snap >= snap_every then begin
         since_snap := 0;
-        match Backend.instance_snapshot live with
+        match Backend.instance_snapshot live.store with
         | None -> ()
         | Some view ->
           views := (List.length !applied, view, !applied) :: !views
@@ -154,30 +149,20 @@ let backend_check ~seed ~gen_seed ~level ~steps =
     ops;
   (* Every view is probed only now, after the rest of the trace mutated
      the live database: agreement with the prefix oracle proves the
-     clone was both consistent and detached. *)
-  let result =
-    List.fold_left
-      (fun acc (pos, view, rev_prefix) ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          let prefix = List.rev rev_prefix in
-          let frozen, _ =
-            Differential.fresh_oracle_at ~gen_seed ~level prefix
-          in
-          let probes = Differential.probe_trace layout prefix in
-          match
-            Differential.compare_probes ~layout ~backend:"memdb-snapshot"
-              frozen view probes
-          with
-          | None -> None
-          | Some d ->
-            Some
-              (violation "leaky-snapshot"
-                 "view cloned after op %d diverges from its prefix oracle: %s"
-                 pos
-                 (Format.asprintf "%a" Differential.pp_divergence d))))
-      None (List.rev !views)
-  in
-  close ();
-  result
+     clone was both consistent and detached.  Views are cloned outside
+     transactions, so a view holds exactly its prefix's commits. *)
+  List.find_map
+    (fun (pos, view, rev_prefix) ->
+      let prefix = List.rev rev_prefix in
+      let commits = List.length (List.filter (( = ) Trace.Commit) prefix) in
+      match
+        Differential.verdict ~gen_seed ~level ~backend:"memdb-snapshot" prefix
+          view [ commits ]
+      with
+      | _, None -> None
+      | _, Some d ->
+        Some
+          (violation "leaky-snapshot"
+             "view cloned after op %d diverges from its prefix oracle: %s" pos
+             (Format.asprintf "%a" Differential.pp_divergence d)))
+    (List.rev !views)

@@ -20,7 +20,7 @@
     between transactions.  After the full trace has run, each view is
     probed exhaustively and compared against a fresh oracle replay of
     exactly the prefix that was committed when the view was cloned
-    ({!Differential.fresh_oracle_at}) — any write that leaked through
+    ({!Differential.verdict}) — any write that leaked through
     the clone after the fact is a divergence. *)
 
 type violation = {
@@ -42,4 +42,10 @@ val store_check :
     misdirected read identifies its source. *)
 
 val backend_check :
-  seed:int64 -> gen_seed:int64 -> level:int -> steps:int -> violation option
+  gen_seed:int64 ->
+  level:int ->
+  snap_every:int ->
+  Hyper_core.Trace.op list ->
+  violation option
+(** Replay the trace on memdb, cloning a view whenever at least
+    [snap_every] ops have passed outside a transaction. *)

@@ -1,165 +1,55 @@
 open Hyper_core
-module Vfs = Hyper_storage.Vfs
-module Storage_error = Hyper_storage.Storage_error
-module D = Hyper_diskdb.Diskdb
 module Server = Hyper_net.Server
 module Client = Hyper_net.Client
-module Client_backend = Hyper_net.Client_backend
-module Netaddr = Hyper_net.Netaddr
 
-(* Each check gets its own socket: the fuzzer runs many cases per
+(* Each server gets its own socket: the fuzzer runs many cases per
    process and a lingering close must not collide with the next bind. *)
 let next_sock = ref 0
 
-let sock_addr () =
+let serve ~layout store =
   incr next_sock;
-  Netaddr.Unix_sock
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "hyper_netcheck_%d_%d.sock" (Unix.getpid ()) !next_sock))
-
-let layout_of ~level = Layout.make ~doc:1 ~oid_base:0 ~leaf_level:level ()
-
-(* The served subject is the crash-mode diskdb (durable_sync + group
-   commit over the faulty VFS) whether or not a crash is armed: one
-   configuration, one code path under test. *)
-let fresh_disk ~gen_seed ~level =
-  let env = Vfs.Faulty.create Vfs.Faulty.quiet in
-  let db = D.open_db (Differential.crash_config (Vfs.Faulty.vfs env)) in
-  let module G = Generator.Make (D) in
-  ignore (G.generate db ~doc:1 ~leaf_level:level ~seed:gen_seed);
-  (env, db)
-
-let close_quiet db = try D.close db with Storage_error.Error _ -> ()
-
-let check ~gen_seed ~level ops =
-  let ops = ops @ [ Trace.Verify_checks ] in
-  let oracle_inst, layout = Differential.fresh_oracle_at ~gen_seed ~level [] in
-  let _env, db = fresh_disk ~gen_seed ~level in
-  let inst = Backend.Instance ((module D : Backend.S with type t = D.t), db) in
-  let addr = sock_addr () in
-  let srv = Server.start ~name:"netcheck" ~layout inst addr in
-  let c = Client.connect ~backoff_base_s:0.02 ~max_attempts:5 addr in
-  let divergence = ref None in
-  (try
-     List.iteri
-       (fun i op ->
-         let o = Trace.apply ~layout oracle_inst op in
-         let s =
-           match Client.call c [ op ] with
-           | [ s ] -> s
-           | outcomes ->
-             Trace.Raised
-               (Printf.sprintf "Netcheck_reply_arity_%d"
-                  (List.length outcomes))
-         in
-         if not (Trace.outcome_equal o s) then begin
-           divergence :=
-             Some
-               {
-                 Differential.step = i;
-                 op;
-                 oracle = o;
-                 subject = s;
-                 backend = "diskdb-wire";
-               };
-           raise Exit
-         end)
-       ops
-   with Exit -> ());
-  Client.close c;
-  Server.drain ~grace_s:2.0 srv;
-  close_quiet db;
-  !divergence
-
-let crash_check ~gen_seed ~level ~crash_after ops =
-  let env, db = fresh_disk ~gen_seed ~level in
-  let layout = layout_of ~level in
-  let inst = Backend.Instance ((module D : Backend.S with type t = D.t), db) in
-  let is_crash = function Vfs.Crash -> true | _ -> false in
-  let addr = sock_addr () in
+  let addr =
+    Hyper_net.Netaddr.Unix_sock
+      (Filename.concat
+         (Filename.get_temp_dir_name ())
+         (Printf.sprintf "hyper_netcheck_%d_%d.sock" (Unix.getpid ()) !next_sock))
+  in
   let srv =
-    Server.start ~name:"netcheck-crash" ~reraise:is_crash ~layout inst addr
+    Server.start ~name:"netcheck" ~reraise:Differential.is_crash ~layout store
+      addr
   in
-  let c = Client.connect ~backoff_base_s:0.01 ~max_attempts:1 addr in
-  Vfs.Faulty.arm_crash env ~after_writes:crash_after ();
-  let acked = ref 0 in
-  let crash = ref None in
-  (try
-     List.iteri
-       (fun i op ->
-         match
-           let rid = Client.submit c [ op ] in
-           Client.await c rid
-         with
-         | [ outcome ] ->
-           if op = Trace.Commit && outcome = Trace.Done Trace.V_unit then
-             incr acked
-         | _ -> ()
-         | exception Client.Connection_lost _ ->
-           (* The server hit the armed crash and died without acking:
-              this op is past the acked prefix by construction. *)
-           crash := Some (i, op = Trace.Commit);
-           raise Exit)
-       ops
-   with Exit -> ());
-  Client.close c;
-  Server.kill srv;
-  (* Power-fail, disarm, recover — then restart the *server* over the
-     recovered store and probe through a fresh wire client, so the
-     "acked writes survive" claim is verified end to end. *)
-  Vfs.Faulty.set_plan env Vfs.Faulty.quiet;
-  Vfs.Faulty.power_fail env;
-  let recovered = D.open_db (Differential.crash_config (Vfs.Faulty.vfs env)) in
-  let rec_inst =
-    Backend.Instance ((module D : Backend.S with type t = D.t), recovered)
-  in
-  let addr2 = sock_addr () in
-  let srv2 = Server.start ~name:"netcheck-recovered" ~layout rec_inst addr2 in
-  let c2 = Client.connect ~backoff_base_s:0.02 ~max_attempts:5 addr2 in
-  let cb = Client_backend.make c2 in
-  let wire_inst = Client_backend.instance cb in
-  let probes = Differential.probe_trace layout ops in
-  let compare_at n =
-    let oracle_inst, _ =
-      Differential.fresh_oracle_at ~gen_seed ~level
-        (Differential.prefix_through_commit ops n)
+  (srv, Client.connect ~backoff_base_s:0.02 ~max_attempts:5 addr)
+
+let subject ~level (inner : Differential.subject) =
+  let layout = Differential.layout_of ~level in
+  let fresh () =
+    let i = inner.fresh () in
+    let srv, c = serve ~layout i.store in
+    let apply op =
+      match Client.await c (Client.submit c [ op ]) with
+      | [ s ] -> s
+      | outcomes ->
+        Trace.Raised
+          (Printf.sprintf "Netcheck_reply_arity_%d" (List.length outcomes))
     in
-    Differential.compare_probes ~layout ~backend:"diskdb-wire-crash"
-      oracle_inst wire_inst probes
+    let recover ~crashed ~acked ~in_flight =
+      Client.close c;
+      Server.kill srv;
+      let r = i.recover ~crashed ~acked ~in_flight in
+      let srv2, c2 = serve ~layout r.state in
+      { r with
+        state = Hyper_net.Client_backend.(instance (make c2));
+        release =
+          (fun () ->
+            Client.close c2;
+            Server.kill srv2;
+            r.release ()) }
+    in
+    let close () =
+      Client.close c;
+      Server.drain ~grace_s:2.0 srv;
+      i.close ()
+    in
+    { i with apply; recover; close }
   in
-  let result =
-    match !crash with
-    | None -> (
-      (* Crash point past the trace's writes: plain final-state check. *)
-      match compare_at !acked with
-      | None -> Differential.Crash_clean { crash_step = None; acked = !acked }
-      | Some d ->
-        Differential.Crash_diverged
-          {
-            crash_step = List.length ops;
-            acked = !acked;
-            in_flight = false;
-            divergence = d;
-          })
-    | Some (step, in_flight) -> (
-      match compare_at !acked with
-      | None ->
-        Differential.Crash_clean { crash_step = Some step; acked = !acked }
-      | Some d ->
-        if in_flight then
-          match compare_at (!acked + 1) with
-          | None ->
-            Differential.Crash_clean
-              { crash_step = Some step; acked = !acked + 1 }
-          | Some _ ->
-            Differential.Crash_diverged
-              { crash_step = step; acked = !acked; in_flight; divergence = d }
-        else
-          Differential.Crash_diverged
-            { crash_step = step; acked = !acked; in_flight; divergence = d })
-  in
-  Client.close c2;
-  Server.kill srv2;
-  close_quiet recovered;
-  result
+  { Differential.name = inner.name ^ "-wire"; fresh }

@@ -1,38 +1,18 @@
-(** Differential checking over the wire: the socket stack
-    ({!Hyper_net.Wire} codec, {!Hyper_net.Server} session layer,
-    {!Hyper_net.Client}) in front of a diskdb subject, against the
-    local memdb oracle.
+(** The wire subject: the socket stack ({!Hyper_net.Wire} codec,
+    {!Hyper_net.Server} sessions, {!Hyper_net.Client}) in front of any
+    {!Differential.subject}.
 
-    {!check} replays a generated trace one op per request and compares
-    the outcomes the server sent back — the wire codec round-trips
-    {!Hyper_core.Trace.outcome} exactly, so agreement means framing,
-    session and transaction plumbing added nothing and lost nothing.
+    Each op travels as a one-op request and the server's reply is the
+    outcome — the wire codec round-trips {!Hyper_core.Trace.outcome}
+    exactly, so agreement with the oracle means framing, session and
+    transaction plumbing added nothing and lost nothing.
 
-    {!crash_check} arms a {!Hyper_storage.Vfs.Faulty} crash under the
-    served diskdb.  When it fires the server dies {e without acking the
-    in-flight request} (acked-prefix discipline), the client sees the
-    connection drop, the store is power-failed and recovered, a fresh
-    server is started over it, and the recovered state is probed {e
-    through a new wire client} against an oracle replay of the acked
-    commit prefix (or acked+1 when the crash interrupted the commit),
-    reusing {!Differential}'s probe machinery. *)
+    A crash armed under the served store kills the server {e without
+    acking the in-flight request} (its [reraise] hook), so the client
+    sees {!Hyper_net.Client.Connection_lost}.  Recovery kills the
+    server, recovers the inner store, starts a fresh server over it and
+    hands the verdict a {!Hyper_net.Client_backend} reading through a
+    new connection: the acked prefix is verified end to end. *)
 
-open Hyper_core
-
-val check :
-  gen_seed:int64 -> level:int -> Trace.op list ->
-  Differential.divergence option
-(** Serve a fresh diskdb over a unix socket, replay the trace through a
-    wire client, compare every outcome with the memdb oracle.  Appends
-    a trailing [Verify_checks] like {!Differential.check}. *)
-
-val crash_check :
-  gen_seed:int64 ->
-  level:int ->
-  crash_after:int ->
-  Trace.op list ->
-  Differential.crash_report
-(** Crash the served diskdb after [crash_after] mutating VFS ops,
-    recover, restart the server, and verify the acked prefix over the
-    wire.  The crash-point space is {!Differential.crash_writes} — the
-    server applies the same ops, so the write count is identical. *)
+val subject : level:int -> Differential.subject -> Differential.subject
+(** Named [<inner>-wire]. *)

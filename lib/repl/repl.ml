@@ -657,7 +657,7 @@ module Cluster = struct
     let wal = Engine.wal engine in
     Wal.set_on_append wal
       (Some
-         (fun _wal_lsn entry ->
+         (fun _wal_lsn entry record ->
            (* The cluster keeps its own LSN space: it survives WAL
               reopens and starts at the moment the cluster formed. *)
            let lsn = t.next_lsn in
@@ -665,7 +665,7 @@ module Cluster = struct
            (match entry with
            | Wal.Commit _ -> t.commits <- t.commits + 1
            | Wal.Begin _ | Wal.Before _ | Wal.After _ | Wal.Checkpoint -> ());
-           retain t lsn (Wal.encode_entry entry)));
+           retain t lsn record));
     Engine.set_commit_hook engine (Some (ship_commit t));
     t
 

@@ -177,15 +177,18 @@ let begin_txn t =
 (* Roll the open transaction back in memory: discard in-pool writes,
    restore stolen pages from the undo set, re-attach the owner's roots
    from the meta page.  Shared by [abort] and by commit-failure
-   degradation; needs no WAL. *)
+   degradation; needs no WAL.  Every caller runs before any commit
+   write-back, so only a stolen page can differ on disk from its
+   pre-image; every other dirtied page lives only in the dirty frames
+   [discard_dirty] drops. *)
 let rollback t txn =
   Buffer_pool.clear_txn_hooks t.pool;
   Buffer_pool.discard_dirty t.pool;
   Hashtbl.iter
-    (fun page img ->
+    (fun page _ ->
       Buffer_pool.invalidate t.pool page;
-      Pager.write t.pager page img)
-    txn.undo;
+      Option.iter (Pager.write t.pager page) (Hashtbl.find_opt txn.undo page))
+    txn.stolen;
   t.txn <- None;
   Obs.Counter.incr m_aborts;
   t.on_reload ()

@@ -38,7 +38,7 @@ type t = {
   mutable issued : int; (* bytes already written to the file *)
   mutable next_lsn : int; (* sequence number of the next appended entry *)
   mutable syncs : int; (* durability barriers since open (not Obs-gated) *)
-  mutable on_append : (int -> entry -> unit) option; (* stream cursor *)
+  mutable on_append : (int -> entry -> bytes -> unit) option; (* stream cursor *)
 }
 
 (* Every earlier record format used a magic in [first_entry_magic ..
@@ -250,7 +250,7 @@ let append t e =
   Obs.Counter.add m_append_bytes (Bytes.length record);
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
-  match t.on_append with None -> () | Some f -> f lsn e
+  match t.on_append with None -> () | Some f -> f lsn e record
 
 (* Issue the buffered suffix to the vfs.  This is the point where WAL
    bytes enter the (possibly simulated) OS — write-ahead ordering is

@@ -69,9 +69,11 @@ val lsn : t -> int
     appends since [open_] — they are not byte offsets, and survive
     {!truncate} (replication keys its shipping cursor on them). *)
 
-val set_on_append : t -> (int -> entry -> unit) option -> unit
+val set_on_append : t -> (int -> entry -> bytes -> unit) option -> unit
 (** Stream cursor: called synchronously on every append with the
-    assigned LSN.  At most one observer; [None] detaches. *)
+    assigned LSN, the entry and the record bytes {!append} encoded
+    ({!encode_entry}'s image; the observer must not mutate them).  At
+    most one observer; [None] detaches. *)
 
 val encode_entry : entry -> bytes
 (** Wire/on-disk image of one record: header, payload and the record

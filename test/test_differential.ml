@@ -3,13 +3,15 @@
 
    What is pinned here:
    - agreement: generated traces find zero divergences on every subject;
-   - sensitivity: a deliberately lying backend IS caught, the repro
-     shrinks to a handful of ops, and shrinking is deterministic;
+   - sensitivity: a deliberately lying backend IS caught, locally and
+     served over the wire, the repro shrinks to the same handful of ops
+     either way, and shrinking is deterministic;
    - crash interleaving: recovery at several crash points matches the
      oracle replay of the acked prefix;
    - the checked-in corpus replays cleanly (regression traces for every
      divergence class the fuzzer has found);
-   - trace serialisation round-trips, so printed repros are faithful. *)
+   - trace serialisation round-trips, and a repro of every preset
+     saves, loads and replays to the same verdict. *)
 
 open Hyper_core
 open Hyper_check
@@ -21,19 +23,19 @@ let level = 3
 (* --- cross-backend agreement on generated traces --- *)
 
 let test_agreement () =
+  let oracle = Differential.oracle ~gen_seed ~level in
   List.iter
     (fun seed ->
-      match
-        Differential.run_case
-          { Differential.seed; gen_seed; level; steps = 50;
-            subjects = Differential.all_kinds }
-      with
-      | None -> ()
-      | Some f ->
-        Alcotest.failf "seed %Ld diverged on %s: %s" seed
-          f.Differential.f_backend
-          (Format.asprintf "%a" Differential.pp_divergence
-             f.Differential.f_divergence))
+      let ops = Gen.trace ~seed ~gen_seed ~level ~steps:50 in
+      List.iter
+        (fun kind ->
+          let subject = Differential.subject ~gen_seed ~level kind in
+          match Differential.check ~oracle ~subject ops with
+          | None -> ()
+          | Some d ->
+            Alcotest.failf "seed %Ld diverged on %s: %s" seed subject.name
+              (Format.asprintf "%a" Differential.pp_divergence d))
+        Differential.all_kinds)
     [ 201L; 202L ]
 
 (* --- sensitivity: a lying backend must be caught and shrunk --- *)
@@ -55,64 +57,65 @@ module Liar = struct
     else c
 end
 
-let liar_harness () =
-  {
-    Differential.h_name = "liar";
-    h_fresh =
-      (fun () ->
-        let b = Hyper_memdb.Memdb.create () in
-        let module G = Generator.Make (Hyper_memdb.Memdb) in
-        let _ = G.generate b ~doc:1 ~leaf_level:level ~seed:gen_seed in
-        ( Backend.Instance ((module Liar : Backend.S with type t = Liar.t), b),
-          fun () -> () ));
-  }
+let liar =
+  Differential.local ~name:"liar" ~gen_seed ~level (fun _ ->
+      ( Backend.Instance
+          ((module Liar : Backend.S with type t = Liar.t), Liar.create ()),
+        ignore ))
 
-let find_liar () =
-  let oracle, layout = Differential.oracle_harness ~gen_seed ~level in
-  let subject = liar_harness () in
+(* The same liar served over the wire: a subject harness, so the wire
+   divergence shrinks exactly like the local one. *)
+let wire_liar = Netcheck.subject ~level liar
+
+let find_liar subject =
+  let oracle = Differential.oracle ~gen_seed ~level in
   let ops = Gen.trace ~seed:303L ~gen_seed ~level ~steps:60 in
-  match Differential.check ~layout ~oracle ~subject ops with
+  match Differential.check ~oracle ~subject ops with
   | None -> Alcotest.fail "planted bug not detected"
-  | Some d ->
-    let minimal, d' = Differential.shrink ~layout ~oracle ~subject ops d in
-    (minimal, d')
+  | Some d -> Differential.shrink ~oracle ~subject ops d
+
+let op_strings = List.map Trace.op_to_string
 
 let test_liar_detected_and_shrunk () =
-  let minimal, d = find_liar () in
+  let minimal, d = find_liar liar in
   check Alcotest.bool "shrunk to a handful of ops" true
     (List.length minimal <= 4);
   (* The minimal repro still diverges when replayed from scratch. *)
-  let oracle, layout = Differential.oracle_harness ~gen_seed ~level in
-  match Differential.check ~layout ~oracle ~subject:(liar_harness ()) minimal with
+  let oracle = Differential.oracle ~gen_seed ~level in
+  (match Differential.check ~oracle ~subject:liar minimal with
   | None -> Alcotest.fail "minimal repro does not reproduce"
   | Some d2 ->
     check Alcotest.int "same divergence step" d.Differential.step
-      d2.Differential.step
+      d2.Differential.step);
+  let wire_minimal, wire_d = find_liar wire_liar in
+  check (Alcotest.list Alcotest.string) "wire shrinks to the local minimum"
+    (op_strings minimal) (op_strings wire_minimal);
+  check Alcotest.int "wire: same divergence step" d.step wire_d.step;
+  check Alcotest.string "wire divergence names the wire subject" "liar-wire"
+    wire_d.backend
 
 let test_shrink_deterministic () =
-  let m1, d1 = find_liar () in
-  let m2, d2 = find_liar () in
+  let m1, d1 = find_liar liar in
+  let m2, d2 = find_liar liar in
   check
     (Alcotest.list Alcotest.string)
-    "same minimal trace"
-    (List.map Trace.op_to_string m1)
-    (List.map Trace.op_to_string m2);
+    "same minimal trace" (op_strings m1) (op_strings m2);
   check Alcotest.int "same step" d1.Differential.step d2.Differential.step
 
 (* --- crash-point interleaving --- *)
 
 let test_crash_points_clean () =
   let ops = Gen.trace ~seed:404L ~gen_seed ~level ~steps:40 in
-  let writes = Differential.crash_writes ~gen_seed ~level ops in
+  let subject = Differential.subject ~durable:true ~gen_seed ~level Differential.Disk in
+  let writes = Differential.crash_writes subject ops in
   check Alcotest.bool "trace performs writes" true (writes > 0);
   List.iter
     (fun k ->
       let k = max 1 k in
-      match Differential.crash_check ~gen_seed ~level ~crash_after:k ops with
-      | Differential.Crash_clean _ -> ()
-      | Differential.Crash_diverged { crash_step; acked; _ } ->
-        Alcotest.failf "recovery diverged at k=%d (step %d, %d acked)" k
-          crash_step acked)
+      let r = Differential.crash_check ~gen_seed ~level ~crash_after:k subject ops in
+      if not (Differential.crash_ok r) then
+        Alcotest.failf "recovery diverged at k=%d: %a" k
+          Differential.pp_crash_report r)
     [ writes / 4; writes / 2; 3 * writes / 4 ]
 
 (* --- checked-in corpus --- *)
@@ -126,23 +129,20 @@ let corpus_files () =
   |> List.sort compare
   |> List.map (Filename.concat dir)
 
+(* A bare v1 header is the differential check on every local subject. *)
 let test_corpus_replays () =
   let files = corpus_files () in
   check Alcotest.bool "corpus is non-empty" true (List.length files >= 4);
   List.iter
     (fun path ->
-      let g, l, ops = Differential.load_repro ~path in
-      let oracle, layout = Differential.oracle_harness ~gen_seed:g ~level:l in
+      let cases = Preset.load path in
+      check Alcotest.int "one case per local subject"
+        (List.length Differential.all_kinds) (List.length cases);
       List.iter
-        (fun kind ->
-          let subject = Differential.subject_harness ~gen_seed:g ~level:l kind in
-          match Differential.check ~layout ~oracle ~subject ops with
-          | None -> ()
-          | Some d ->
-            Alcotest.failf "%s vs %s: %s" path
-              (Differential.kind_name kind)
-              (Format.asprintf "%a" Differential.pp_divergence d))
-        Differential.all_kinds)
+        (fun c ->
+          let o = Preset.check c in
+          if not o.ok then Alcotest.failf "%s: %s" path o.report)
+        cases)
     files
 
 (* --- serialisation and generation determinism --- *)
@@ -170,21 +170,46 @@ let test_gen_deterministic () =
   check Alcotest.bool "different seed, different trace" true
     (List.map Trace.op_to_string t1 <> List.map Trace.op_to_string t3)
 
+(* One case of every preset survives save/load field for field, and
+   the loaded case replays to the same verdict.  The failover case is
+   the old replication round trip's. *)
 let test_save_load_round_trip () =
-  let ops = Gen.trace ~seed:708L ~gen_seed ~level ~steps:60 in
-  let path = Filename.temp_file "hyper_fuzz_repro" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Differential.save_repro ~path ~gen_seed ~level ops;
-      let g, l, ops' = Differential.load_repro ~path in
-      check Alcotest.int "level survives" level l;
-      check Alcotest.bool "gen_seed survives" true (g = gen_seed);
-      check
-        (Alcotest.list Alcotest.string)
-        "ops survive"
-        (List.map Trace.op_to_string ops)
-        (List.map Trace.op_to_string ops'))
+  let ops seed steps = Gen.trace ~seed ~gen_seed ~level ~steps in
+  let case ?crash_after ?(seed = 708L) ?(ops = ops seed 60) subject =
+    { Preset.subject; crash_after; seed; gen_seed; level; ops }
+  in
+  let cases =
+    [ case (Preset.Local Differential.Disk_remote);
+      case ~crash_after:17 (Preset.Local Differential.Disk);
+      case ~crash_after:9 (Preset.Wire Differential.Disk);
+      case ~seed:77L ~ops:(ops 77L 50) ~crash_after:120
+        (Preset.Replicated
+           { Failover.policy = Hyper_repl.Repl.Quorum; replicas = 3;
+             net_faults = true; kill_at = Some (1, 9); restart_at = Some 30;
+             retain = 64; snapshot_lag = 128 });
+      case (Preset.Snapshots 15);
+      case ~ops:[]
+        (Preset.Store { writers = 3; readers = 2; keys = 16; txns = 20 }) ]
+  in
+  List.iter
+    (fun c ->
+      let path = Filename.temp_file "hyper_fuzz_repro" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Preset.save ~path c;
+          match Preset.load path with
+          | [ c' ] ->
+            check Alcotest.string "file name survives" (Preset.file_name c)
+              (Preset.file_name c');
+            check (Alcotest.list Alcotest.string) "ops survive"
+              (op_strings c.ops) (op_strings c'.ops);
+            if c <> c' then Alcotest.failf "%s: case not faithful" path;
+            let o = Preset.check c and o' = Preset.check c' in
+            check Alcotest.bool (Preset.file_name c ^ " passes") true o.ok;
+            check Alcotest.string "same verdict" o.report o'.report
+          | cs -> Alcotest.failf "%s: loaded %d cases" path (List.length cs)))
+    cases
 
 let () =
   Alcotest.run "hyper_differential"

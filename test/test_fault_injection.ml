@@ -453,6 +453,30 @@ let test_steal_abort_crash () =
     scenario ~seed ~later_commit:false
   done
 
+(* Nothing was stolen, so the data file still holds every page's
+   committed image: an abort rolls back in the pool alone and writes no
+   page, and a cold read afterwards sees the committed bytes. *)
+let test_abort_writes_only_stolen () =
+  let env = F.create F.quiet in
+  let e =
+    Engine.open_ ~vfs:(F.vfs env) ~path:range_path ~pool_pages:64
+      ~durable_sync:true ()
+  in
+  let ids = committed_pages e 8 in
+  Engine.begin_txn e;
+  List.iter (fun id -> write_span e id ~off:100 ~len:4 'x') ids;
+  Pager.reset_stats (Engine.pager e);
+  Engine.abort e;
+  check Alcotest.int "no page written" 0 (Pager.stats (Engine.pager e)).writes;
+  Engine.clear_caches e;
+  List.iteri
+    (fun i id ->
+      let committed = Bytes.make Page.size (Char.chr (97 + i)) in
+      check Alcotest.bool "committed bytes" true
+        (Pool.with_page (Engine.pool e) id (Bytes.equal committed)))
+    ids;
+  Engine.close e
+
 (* A committed transaction whose pages were stolen and then changed
    again — some bytes back to their original value — crashed at every
    write of its commit: recovery ends at the committed images or, when
@@ -564,6 +588,8 @@ let () =
             test_steal_abort_crash;
           Alcotest.test_case "steal, commit, crash" `Quick
             test_steal_commit_crash;
+          Alcotest.test_case "abort writes only stolen pages" `Quick
+            test_abort_writes_only_stolen;
           Alcotest.test_case "undo image beyond page count" `Quick
             test_undo_beyond_page_count;
           Alcotest.test_case "no direct I/O outside the VFS" `Quick

@@ -277,8 +277,8 @@ let test_store_fuzz_smoke () =
 
 let test_backend_fuzz_smoke () =
   match
-    Hyper_check.Mvcc_check.backend_check ~seed:7L ~gen_seed:42L ~level:3
-      ~steps:120
+    Hyper_check.Mvcc_check.backend_check ~gen_seed:42L ~level:3 ~snap_every:30
+      (Hyper_check.Gen.trace ~seed:7L ~gen_seed:42L ~level:3 ~steps:120)
   with
   | None -> ()
   | Some v ->

@@ -192,21 +192,26 @@ let trace steps seed = Gen.trace ~seed ~gen_seed ~level ~steps
 
 (* --- the ack-policy matrix, three seeds, three crash points each --- *)
 
+let failover ?(replicas = 2) ?kill_at ?restart_at ?(retain = 4096)
+    ?(snapshot_lag = 1024) ?(net_faults = true) ~seed ~steps ~crash_after
+    policy =
+  let subject =
+    Failover.subject ~seed ~gen_seed ~level
+      { Failover.policy; replicas; net_faults; kill_at; restart_at; retain;
+        snapshot_lag }
+  in
+  let r =
+    Differential.crash_check ~gen_seed ~level ~crash_after subject
+      (trace steps seed)
+  in
+  if not (Differential.crash_ok r) then
+    Alcotest.failf "failover violation:@ %a" Differential.pp_crash_report r
+
 let test_policy_matrix () =
   List.iter
     (fun (policy, seed) ->
       List.iter
-        (fun crash_after ->
-          let c =
-            { Failover.fo_seed = seed; fo_gen_seed = gen_seed;
-              fo_level = level; fo_steps = 50; fo_policy = policy;
-              fo_replicas = 2; fo_crash_after = crash_after;
-              fo_net_faults = true; fo_kill_at = None; fo_restart_at = None;
-              fo_retain = 4096; fo_snapshot_lag = 1024 }
-          in
-          let r = Failover.failover_check c in
-          if not (Failover.ok r) then
-            Alcotest.failf "failover violation:@ %a" Failover.pp_report r)
+        (fun crash_after -> failover ~seed ~steps:50 ~crash_after policy)
         [ 0; 40; 400 ])
     [ (Repl.Async, 301L); (Repl.Sync_one, 302L); (Repl.Quorum, 303L);
       (Repl.Sync_one, 304L); (Repl.Quorum, 305L); (Repl.Async, 306L) ]
@@ -414,16 +419,8 @@ let test_catchup_snapshot () =
 let test_failover_with_replica_crash () =
   List.iter
     (fun (seed, retain, snapshot_lag) ->
-      let c =
-        { Failover.fo_seed = seed; fo_gen_seed = gen_seed; fo_level = level;
-          fo_steps = 60; fo_policy = Repl.Quorum; fo_replicas = 3;
-          fo_crash_after = 300; fo_net_faults = true;
-          fo_kill_at = Some (0, 15); fo_restart_at = Some 35;
-          fo_retain = retain; fo_snapshot_lag = snapshot_lag }
-      in
-      let r = Failover.failover_check c in
-      if not (Failover.ok r) then
-        Alcotest.failf "failover violation:@ %a" Failover.pp_report r)
+      failover ~replicas:3 ~kill_at:(0, 15) ~restart_at:35 ~retain
+        ~snapshot_lag ~seed ~steps:60 ~crash_after:300 Repl.Quorum)
     [ (601L, 4096, 1024); (602L, 8, 16); (603L, 4096, 1024) ]
 
 (* --- no snapshot catch-up inside a transaction --- *)
@@ -434,34 +431,35 @@ let test_failover_with_replica_crash () =
    and the promoted survivor lost an acknowledged commit (acked 8,
    survivor 7). *)
 let test_no_snapshot_inside_txn () =
-  let c =
-    { Failover.fo_seed = 18L; fo_gen_seed = gen_seed; fo_level = level;
-      fo_steps = 60; fo_policy = Repl.Sync_one; fo_replicas = 3;
-      fo_crash_after = 0; fo_net_faults = false; fo_kill_at = None;
-      fo_restart_at = None; fo_retain = 4096; fo_snapshot_lag = 1024 }
-  in
-  let r = Failover.failover_check c in
-  if not (Failover.ok r) then
-    Alcotest.failf "failover violation:@ %a" Failover.pp_report r
+  failover ~replicas:3 ~net_faults:false ~seed:18L ~steps:60 ~crash_after:0
+    Repl.Sync_one
 
 (* --- repro files round-trip --- *)
 
+(* A failover case — every config field set off its default — survives
+   a repro file field for field, under the [failover] preset. *)
 let test_repro_roundtrip () =
   let c =
-    { Failover.fo_seed = 77L; fo_gen_seed = gen_seed; fo_level = level;
-      fo_steps = 50; fo_policy = Repl.Quorum; fo_replicas = 3;
-      fo_crash_after = 120; fo_net_faults = true; fo_kill_at = Some (1, 9);
-      fo_restart_at = Some 30; fo_retain = 64; fo_snapshot_lag = 128 }
+    { Preset.subject =
+        Preset.Replicated
+          { Failover.policy = Repl.Quorum; replicas = 3; net_faults = true;
+            kill_at = Some (1, 9); restart_at = Some 30; retain = 64;
+            snapshot_lag = 128 };
+      crash_after = Some 120; seed = 77L; gen_seed; level;
+      ops = trace 50 77L }
   in
+  check Alcotest.string "preset" "failover" (Preset.preset c);
   let path = Filename.temp_file "failover" ".repro" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Failover.save_repro ~path c;
-      let c' = Failover.load_repro ~path in
-      if c <> c' then
-        Alcotest.failf "repro not faithful:@ %a@ vs@ %a" Failover.pp_fcase c
-          Failover.pp_fcase c')
+      Preset.save ~path c;
+      match Preset.load path with
+      | [ c' ] ->
+        if c <> c' then
+          Alcotest.failf "repro not faithful: %s vs %s" (Preset.file_name c)
+            (Preset.file_name c')
+      | cs -> Alcotest.failf "loaded %d cases" (List.length cs))
 
 let () =
   Alcotest.run "replication"
