@@ -19,7 +19,7 @@ tolerance_pct=5
 references='
 paper_l6       alloc_words_per_item  186.7
 paper_l6       db_mb                 9.8377
-served_mix     alloc_words_per_item  3293
+served_mix     alloc_words_per_item  2257
 served_mix     db_mb                 1.9941
 '
 

@@ -17,6 +17,7 @@ type t = {
   max_attempts : int;
   mutable fd : Unix.file_descr option;
   mutable dec : Wire.response Wire.Decoder.t;
+  rbuf : bytes;  (* socket read buffer, reused by every response *)
   mutable session_id : int;
   mutable next_rid : int;
   mutable pending : int list;  (* submitted, not yet awaited; oldest first *)
@@ -55,7 +56,7 @@ let[@lint.allow "vfs-boundary"] send_all t payload =
 (* Read until the decoder yields one response.  Socket read — outside
    the Vfs seam, like [send_all]. *)
 let[@lint.allow "vfs-boundary"] read_response t =
-  let buf = Bytes.create 8192 in
+  let buf = t.rbuf in
   let rec go () =
     match Wire.Decoder.next t.dec with
     | Some (Ok r) -> r
@@ -130,6 +131,7 @@ let connect ?(client_name = "hyperclient") ?(max_frame = Wire.max_frame_default)
       max_attempts;
       fd = None;
       dec = Wire.Decoder.create_response ~max_frame ();
+      rbuf = Bytes.create 8192;
       session_id = 0;
       next_rid = 1;
       pending = [];

@@ -17,59 +17,41 @@ let set_i64 b pos v = Bytes.set_int64_le b pos v
 let get_sub b ~pos ~len = Bytes.sub b pos len
 let set_sub b ~pos src = Bytes.blit src 0 b pos (Bytes.length src)
 
-(* CRC-32 (IEEE), slicing-by-8 — the one checksum of the system: page
-   images, WAL records, replication frames and wire frames.  [tables]
-   holds eight 256-entry tables back to back: table 0 is the classic
-   bytewise table, and table k advances a table-(k-1) entry by one more
-   zero byte, so eight bytes fold into the CRC with eight lookups. *)
-let tables =
-  let t = Array.make (8 * 256) 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for k = 1 to 7 do
-    for n = 0 to 255 do
-      let prev = t.(((k - 1) * 256) + n) in
-      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
-    done
-  done;
-  t
+(* CRC-32 (IEEE) — the one checksum of the system: page images, WAL
+   records, replication frames and wire frames.  The kernel is C
+   (storage_stubs.c): PCLMULQDQ folding on x86-64 CPUs that have it,
+   slicing-by-8 everywhere else; both compute the same function. *)
+external crc32_update :
+  (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "caml_hyper_crc32_update_byte" "caml_hyper_crc32_update"
+[@@noalloc]
+
+external crc32_update_portable :
+  (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged])
+  = "caml_hyper_crc32_update_portable_byte" "caml_hyper_crc32_update_portable"
+[@@noalloc]
+
+external crc32_hardware : unit -> bool = "caml_hyper_crc32_hardware"
+[@@noalloc]
+
+let check_range b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Page.checksum_update"
 
 let checksum_update crc b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then
-    invalid_arg "Page.checksum_update";
-  let t = tables in
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  let i = ref pos in
-  let stop8 = pos + (len land lnot 7) in
-  while !i < stop8 do
-    (* Little-endian: the low half is the next four bytes in order. *)
-    let w = Bytes.get_int64_le b !i in
-    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
-    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
-    c :=
-      Array.unsafe_get t ((7 * 256) + (lo land 0xFF))
-      lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xFF))
-      lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xFF))
-      lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
-      lxor Array.unsafe_get t ((3 * 256) + (hi land 0xFF))
-      lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xFF))
-      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xFF))
-      lxor Array.unsafe_get t (hi lsr 24);
-    i := !i + 8
-  done;
-  for j = stop8 to pos + len - 1 do
-    c :=
-      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
+  check_range b ~pos ~len;
+  crc32_update crc b pos len
 
-let checksum b = checksum_update 0 b ~pos:0 ~len:(Bytes.length b)
+let checksum b = crc32_update 0 b 0 (Bytes.length b)
+
+module For_testing = struct
+  let hardware_crc = crc32_hardware ()
+
+  let checksum_update_portable crc b ~pos ~len =
+    check_range b ~pos ~len;
+    crc32_update_portable crc b pos len
+end
 
 type ptype = Free | Meta | Heap | Overflow | Btree_leaf | Btree_internal | Obj_table
 

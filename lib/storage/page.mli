@@ -30,7 +30,13 @@ val checksum : bytes -> int
 (** CRC-32 (IEEE) of a buffer.  This is the system's only checksum: the
     page-image CRC {!Pager} stores in the [.sum] sidecar and verifies on
     every read, the {!Wal} record CRC, and the replication and wire
-    frame CRCs.  The result is in [0 .. 0xFFFFFFFF]. *)
+    frame CRCs.  The result is in [0 .. 0xFFFFFFFF].
+
+    The kernel is C.  On an x86-64 CPU with PCLMULQDQ it folds 64 bytes
+    per step with carry-less multiplication; everywhere else, and for
+    slices shorter than 64 bytes, it is table-driven slicing-by-8.  The
+    path is picked once, when the program starts; both return the same
+    values, so checksums written on one host verify on any other. *)
 
 val checksum_update : int -> bytes -> pos:int -> len:int -> int
 (** [checksum_update crc b ~pos ~len] extends [crc], the CRC-32 of some
@@ -38,7 +44,20 @@ val checksum_update : int -> bytes -> pos:int -> len:int -> int
     the slice.  [checksum_update 0 b ~pos ~len] is the CRC of the slice
     alone, and [checksum_update (checksum x) y ~pos:0 ~len:(Bytes.length
     y)] equals [checksum (Bytes.cat x y)].
+    Does not allocate.
     @raise Invalid_argument if the range is outside [b]. *)
+
+(** Entry points for tests only. *)
+module For_testing : sig
+  val hardware_crc : bool
+  (** Whether {!checksum_update} uses the PCLMULQDQ path on this host
+      (for slices of 64 bytes or more). *)
+
+  val checksum_update_portable : int -> bytes -> pos:int -> len:int -> int
+  (** {!checksum_update} forced onto the portable slicing-by-8 path, so
+      a test can check that path on a host where the dispatch picks the
+      hardware one. *)
+end
 
 (** Page-type tags stored in byte 0 of structured pages.  A freshly
     allocated (zeroed) page reads as [Free]. *)

@@ -1,7 +1,11 @@
 type stats = { mutable reads : int; mutable writes : int; mutable allocs : int }
 
 type backing =
-  | File of { data : Vfs.file; sums : Vfs.file }
+  | File of { data : Vfs.file; sums : Vfs.file; mutable crcs : bytes }
+      (* [crcs] is the [.sum] sidecar held in memory, slot [id] at byte
+         [id * sum_width]: loaded once at [create], written through by
+         [write_sum].  Its capacity grows by doubling; slots past
+         [count] are zero. *)
   | Memory of { mutable pages : bytes array }
       (* capacity = Array.length pages; the pager's [count] is the used
          prefix, so growth is amortized doubling, not O(n) per alloc *)
@@ -42,7 +46,11 @@ let create ?(vfs = Vfs.real) path =
   (* Discard checksums beyond the data (stale sidecar, fresh file). *)
   if sums.Vfs.size () > count * sum_width then
     sums.Vfs.truncate (count * sum_width);
-  { backing = File { data; sums }; count; on_read = no_hook;
+  (* A sidecar shorter than the data reads as zero slots past its end:
+     holes, accepted unverified. *)
+  let crcs = Bytes.make (count * sum_width) '\000' in
+  if count > 0 then sums.Vfs.pread ~buf:crcs ~off:0;
+  { backing = File { data; sums; crcs }; count; on_read = no_hook;
     on_write = no_hook; on_read_many = None; stats = fresh_stats ();
     closed = false }
 
@@ -59,12 +67,16 @@ let check_id t id =
 
 let page_count t = t.count
 
-let write_sum sums id buf =
+(* Write through: the sidecar slot first, then the in-memory copy, so a
+   failed write leaves the copy as the file was. *)
+let write_sum sums crcs id buf =
   let sb = Bytes.create sum_width in
   Page.set_u32 sb 0 (page_crc buf);
-  sums.Vfs.pwrite ~buf:sb ~off:(id * sum_width)
+  sums.Vfs.pwrite ~buf:sb ~off:(id * sum_width);
+  Bytes.blit sb 0 crcs (id * sum_width) sum_width
 
-let verify_sum_value ~data id buf ~expected =
+let verify_sum ~data ~crcs id buf =
+  let expected = Page.get_u32 crcs (id * sum_width) in
   if expected <> 0 then begin
     let actual = page_crc buf in
     if actual <> expected then
@@ -74,21 +86,22 @@ let verify_sum_value ~data id buf ~expected =
               { path = data.Vfs.path; page = id; expected; actual }))
   end
 
-let verify_sum ~data ~sums id buf =
-  let sb = Bytes.create sum_width in
-  sums.Vfs.pread ~buf:sb ~off:(id * sum_width);
-  verify_sum_value ~data id buf ~expected:(Page.get_u32 sb 0)
-
 let allocate t =
   check_open t;
   let id = t.count in
   t.count <- t.count + 1;
   t.stats.allocs <- t.stats.allocs + 1;
   (match t.backing with
-  | File { data; sums } ->
+  | File f ->
     let zero = Page.alloc () in
-    data.Vfs.pwrite ~buf:zero ~off:(id * Page.size);
-    write_sum sums id zero
+    f.data.Vfs.pwrite ~buf:zero ~off:(id * Page.size);
+    let cap = Bytes.length f.crcs in
+    if (id + 1) * sum_width > cap then begin
+      let grown = Bytes.make (max (8 * sum_width) (2 * cap)) '\000' in
+      Bytes.blit f.crcs 0 grown 0 cap;
+      f.crcs <- grown
+    end;
+    write_sum f.sums f.crcs id zero
   | Memory m ->
     let cap = Array.length m.pages in
     if id >= cap then begin
@@ -109,10 +122,10 @@ let read_view t id =
   t.stats.reads <- t.stats.reads + 1;
   t.on_read id;
   match t.backing with
-  | File { data; sums } ->
+  | File { data; crcs; _ } ->
     let buf = Bytes.create Page.size in
     data.Vfs.pread ~buf ~off:(id * Page.size);
-    verify_sum ~data ~sums id buf;
+    verify_sum ~data ~crcs id buf;
     (buf, true)
   | Memory m -> (m.pages.(id), false)
 
@@ -120,8 +133,8 @@ let read t id =
   let buf, owned = read_view t id in
   if owned then buf else Bytes.copy buf
 
-(* Vectored read: one [pread_multi] for the page contents and one for
-   their checksum slots, then per-page verification.  Statistics count
+(* Vectored read: one [pread_multi] for the page contents, then
+   per-page verification against the in-memory checksums.  Statistics count
    every page; the batched hook (when installed) fires once for the
    whole group — that is what lets a remote channel charge a single
    round trip for a group fetch. *)
@@ -135,22 +148,11 @@ let read_many_views t ids =
     | Some f -> f ids
     | None -> List.iter t.on_read ids);
     match t.backing with
-    | File { data; sums } ->
+    | File { data; crcs; _ } ->
       let bufs = List.map (fun _ -> Bytes.create Page.size) ids in
       data.Vfs.pread_multi
         (List.map2 (fun id buf -> (buf, id * Page.size)) ids bufs);
-      let sum_bufs = List.map (fun _ -> Bytes.create sum_width) ids in
-      sums.Vfs.pread_multi
-        (List.map2 (fun id sb -> (sb, id * sum_width)) ids sum_bufs);
-      let rec verify ids bufs sbs =
-        match (ids, bufs, sbs) with
-        | [], [], [] -> ()
-        | id :: ids, buf :: bufs, sb :: sbs ->
-          verify_sum_value ~data id buf ~expected:(Page.get_u32 sb 0);
-          verify ids bufs sbs
-        | _ -> assert false
-      in
-      verify ids bufs sum_bufs;
+      List.iter2 (fun id buf -> verify_sum ~data ~crcs id buf) ids bufs;
       List.map (fun buf -> (buf, true)) bufs
     | Memory m -> List.map (fun id -> (m.pages.(id), false)) ids
   end
@@ -178,9 +180,9 @@ let write t id data_buf =
   t.stats.writes <- t.stats.writes + 1;
   t.on_write id;
   match t.backing with
-  | File { data; sums } ->
+  | File { data; sums; crcs } ->
     data.Vfs.pwrite ~buf:data_buf ~off:(id * Page.size);
-    write_sum sums id data_buf
+    write_sum sums crcs id data_buf
   (* The copy keeps the store disjoint from the caller's buffer (a pool
      frame keeps mutating its own copy after write-back).  The previous
      store buffer is replaced, not mutated — an outstanding read view
@@ -191,7 +193,7 @@ let write t id data_buf =
 let sync t =
   check_open t;
   match t.backing with
-  | File { data; sums } ->
+  | File { data; sums; _ } ->
     data.Vfs.sync ();
     sums.Vfs.sync ()
   | Memory _ -> ()
@@ -200,7 +202,7 @@ let close t =
   if not t.closed then begin
     t.closed <- true;
     match t.backing with
-    | File { data; sums } ->
+    | File { data; sums; _ } ->
       data.Vfs.close ();
       sums.Vfs.close ()
     | Memory _ -> ()

@@ -12,11 +12,14 @@
       through [Unix] directly.
 
     Every page carries a CRC-32 stored in a [path ^ ".sum"] sidecar
-    (4 bytes per page, written on every page write).  Reads verify it and
-    raise {!Storage_error.Error} ([Corrupt_page]) on mismatch, so a torn
-    write or bit rot is caught at the pager instead of corrupting the
-    heap or the indexes silently.  A zero slot (sidecar hole, or a file
-    that predates checksums) is accepted unverified. *)
+    (4 bytes per page, written through on every page write).  The pager
+    loads the sidecar into memory once, at {!create}, and verifies every
+    read against that copy, so a page read is one [pread] of the data
+    file.  A mismatch raises {!Storage_error.Error} ([Corrupt_page]), so
+    a torn write or bit rot is caught at the pager instead of corrupting
+    the heap or the indexes silently.  A zero slot (sidecar hole, a
+    sidecar shorter than the data, or a file that predates checksums) is
+    accepted unverified. *)
 
 type t
 
@@ -27,8 +30,8 @@ val sum_path : string -> string
 
 val create : ?vfs:Vfs.t -> string -> t
 (** [create path] opens (or creates) the file at [path] (and its
-    {!sum_path} sidecar) through [vfs] (default {!Vfs.real}).  A partial page at the
-    tail of the file — a torn append left by a crash — is truncated away;
+    {!sum_path} sidecar) through [vfs] (default {!Vfs.real}), and reads
+    the sidecar into memory.  A partial page at the tail of the file — a torn append left by a crash — is truncated away;
     WAL replay re-extends the file if a committed transaction mentions
     the page. *)
 
@@ -58,8 +61,8 @@ val read_view : t -> int -> bytes * bool
 
 val read_many : t -> int list -> bytes list
 (** [read_many t ids] reads the pages as one vectored
-    {!Vfs.file.pread_multi} (data and checksum sidecar each get a single
-    call) and verifies every page's CRC.  Statistics count one read per
+    {!Vfs.file.pread_multi} of the data file and verifies every page's
+    CRC against the in-memory checksums.  Statistics count one read per
     page, but the batched hook — when installed via [set_hooks
     ~on_read_many] — fires {e once} with the whole id list, so a remote
     channel can charge one round trip for the group.  Without a batched

@@ -27,7 +27,7 @@ let with_file_pager name k =
 
 (* --- CRC-32 kernel --- *)
 
-(* The bytewise table-driven CRC-32 the sliced kernel must agree with,
+(* The bytewise table-driven CRC-32 both kernel paths must agree with,
    kept here as the reference. *)
 let reference_crc b ~pos ~len =
   let table =
@@ -44,26 +44,48 @@ let reference_crc b ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF
 
+(* The dispatched kernel (PCLMULQDQ folding on an x86-64 host that has
+   it) and the portable slicing-by-8 path, named for failure messages. *)
+let crc_paths =
+  [ ((if Page.For_testing.hardware_crc then "pclmul" else "dispatched"),
+     Page.checksum_update);
+    ("portable", Page.For_testing.checksum_update_portable) ]
+
 let test_crc_known_answer () =
-  check Alcotest.int "CRC-32 check value" 0xCBF43926
-    (Page.checksum (Bytes.of_string "123456789"));
-  check Alcotest.int "empty buffer" 0 (Page.checksum Bytes.empty);
-  Alcotest.check_raises "range outside the buffer"
-    (Invalid_argument "Page.checksum_update") (fun () ->
-      ignore (Page.checksum_update 0 (Bytes.create 8) ~pos:4 ~len:5))
+  let nine = Bytes.of_string "123456789" in
+  List.iter
+    (fun (name, update) ->
+      check Alcotest.int (name ^ ": CRC-32 check value") 0xCBF43926
+        (update 0 nine ~pos:0 ~len:9);
+      check Alcotest.int (name ^ ": empty buffer") 0
+        (update 0 Bytes.empty ~pos:0 ~len:0);
+      Alcotest.check_raises (name ^ ": range outside the buffer")
+        (Invalid_argument "Page.checksum_update") (fun () ->
+          ignore (update 0 (Bytes.create 8) ~pos:4 ~len:5)))
+    crc_paths;
+  check Alcotest.int "Page.checksum" 0xCBF43926 (Page.checksum nine)
+
+(* Slice lengths just around the hardware path's fold boundaries: the
+   64-byte minimum and four-lane step, and the 16-byte single-lane step. *)
+let crc_boundary_len =
+  QCheck.Gen.(
+    let* base = oneofl [ 16; 32; 48; 64; 80; 128; 192; 256; 4096 ] in
+    let* delta = int_range (-3) 3 in
+    return (max 0 (base + delta)))
 
 let prop_crc_matches_reference =
   let gen =
     QCheck.Gen.(
-      let* len = int_range 0 9000 in
-      let* s = string_size ~gen:char (return len) in
-      let* pos = int_range 0 len in
-      let* sub_len = int_range 0 (len - pos) in
+      let* sub_len = frequency [ (1, int_range 0 9000); (1, crc_boundary_len) ] in
+      let* pos = int_range 0 64 in
+      let* tail = int_range 0 64 in
+      let* s = string_size ~gen:char (return (pos + sub_len + tail)) in
       let* split = int_range 0 sub_len in
       return (s, pos, sub_len, split))
   in
-  QCheck.Test.make ~name:"sliced CRC-32 agrees with the bytewise reference"
-    ~count:300
+  QCheck.Test.make
+    ~name:"sliced CRC-32 agrees with the bytewise reference, as does PCLMUL"
+    ~count:400
     (QCheck.make
        ~print:(fun (s, pos, len, split) ->
          Printf.sprintf "length %d, pos %d, len %d, split %d"
@@ -74,12 +96,16 @@ let prop_crc_matches_reference =
       let whole = reference_crc b ~pos:0 ~len:(Bytes.length b) in
       let slice = reference_crc b ~pos ~len in
       Page.checksum b = whole
-      && Page.checksum_update 0 b ~pos ~len = slice
-      (* Streaming: a slice in two pieces, the first CRC seeding the second. *)
-      && Page.checksum_update
-           (Page.checksum_update 0 b ~pos ~len:split)
-           b ~pos:(pos + split) ~len:(len - split)
-         = slice)
+      && List.for_all
+           (fun (_, update) ->
+             update 0 b ~pos:0 ~len:(Bytes.length b) = whole
+             && update 0 b ~pos ~len = slice
+             (* Streaming: a slice in two pieces, the first CRC seeding
+                the second. *)
+             && update (update 0 b ~pos ~len:split) b ~pos:(pos + split)
+                  ~len:(len - split)
+                = slice)
+           crc_paths)
 
 (* --- Pager --- *)
 
@@ -141,6 +167,151 @@ let test_pager_in_memory () =
   Pager.write pager id page;
   check Alcotest.bytes "in-memory round trip" page (Pager.read pager id);
   Pager.close pager
+
+(* --- Pager: one pread per page, checksums held in memory --- *)
+
+module Obs = Hyper_obs.Obs
+
+(* Page [i] of the test stores: every byte is ['A' + i]. *)
+let page_image i = Bytes.make Page.size (Char.chr (Char.code 'A' + i))
+
+let remove_store path =
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (Engine.files path)
+
+let write_store path n =
+  let pager = Pager.create path in
+  for i = 0 to n - 1 do
+    Pager.write pager (Pager.allocate pager) (page_image i)
+  done;
+  Pager.close pager
+
+(* Overwrite one byte of a file behind the pager's back. *)
+let poke path off c =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.write_substring fd (String.make 1 c) 0 1))
+
+let corrupt_page_of f =
+  match f () with
+  | _ -> None
+  | exception Storage_error.Error (Storage_error.Corrupt_page { page; _ }) ->
+    Some page
+
+let test_pager_one_pread_per_miss () =
+  let path = temp_path "preads" in
+  write_store path 24;
+  let pager = Pager.create ~vfs:(Vfs.observed Vfs.real) path in
+  let pool = Buffer_pool.create pager ~capacity:64 in
+  let reads = Obs.Counter.make "hyper_vfs_reads_total" in
+  let was_on = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      if not was_on then Obs.disable ();
+      Pager.close pager;
+      remove_store path)
+    (fun () ->
+      let before = Obs.Counter.value reads in
+      for id = 0 to 15 do
+        Buffer_pool.with_page pool id (fun page ->
+            check Alcotest.bytes "demand-read page" (page_image id) page)
+      done;
+      check Alcotest.int "16 demand misses" 16
+        (Buffer_pool.stats pool).Buffer_pool.misses;
+      check Alcotest.int "one pread per demand miss" 16
+        (Obs.Counter.value reads - before);
+      let before = Obs.Counter.value reads in
+      Buffer_pool.prefetch pool (List.init 8 (fun i -> 16 + i));
+      check Alcotest.int "8 prefetched" 8
+        (Buffer_pool.stats pool).Buffer_pool.prefetches;
+      check Alcotest.int "one pread per prefetched page" 8
+        (Obs.Counter.value reads - before))
+
+let test_pager_sums_grow_with_allocate () =
+  let path = temp_path "grow" in
+  write_store path 2;
+  Fun.protect ~finally:(fun () -> remove_store path) (fun () ->
+      let pager = Pager.create path in
+      (* Enough pages to grow the in-memory checksums several times. *)
+      for i = 2 to 39 do
+        let id = Pager.allocate pager in
+        check Alcotest.int "next id" i id;
+        Pager.write pager id (page_image i)
+      done;
+      (* A new page is verified from memory while the store is open... *)
+      poke path ((37 * Page.size) + 100) '!';
+      check Alcotest.(option int) "corruption of a new page caught" (Some 37)
+        (corrupt_page_of (fun () -> Pager.read pager 37));
+      Pager.close pager;
+      (* ...and its checksum reached the sidecar. *)
+      let pager = Pager.create path in
+      Fun.protect ~finally:(fun () -> Pager.close pager) (fun () ->
+          check Alcotest.int "page count" 40 (Pager.page_count pager);
+          for i = 0 to 39 do
+            if i <> 37 then
+              check Alcotest.bytes "page verifies after reopen" (page_image i)
+                (Pager.read pager i)
+          done;
+          check Alcotest.(option int) "corruption caught after reopen"
+            (Some 37)
+            (corrupt_page_of (fun () -> Pager.read pager 37))))
+
+let test_pager_short_sidecar_reads_as_holes () =
+  let path = temp_path "short_sum" in
+  write_store path 8;
+  Fun.protect ~finally:(fun () -> remove_store path) (fun () ->
+      (* Keep the first three slots only, and corrupt a page on each
+         side of the cut. *)
+      Unix.truncate (Pager.sum_path path) (3 * 4);
+      poke path ((1 * Page.size) + 7) '!';
+      poke path ((6 * Page.size) + 7) '!';
+      let pager = Pager.create path in
+      Fun.protect ~finally:(fun () -> Pager.close pager) (fun () ->
+          check Alcotest.(option int) "page with a slot verified" (Some 1)
+            (corrupt_page_of (fun () -> Pager.read pager 1));
+          check Alcotest.(option int) "page past the sidecar accepted" None
+            (corrupt_page_of (fun () -> Pager.read pager 6));
+          check Alcotest.(option int) "batch past the sidecar accepted" None
+            (corrupt_page_of (fun () -> Pager.read_many pager [ 3; 4; 5; 6; 7 ]));
+          Pager.write pager 6 (page_image 6));
+      (* The rewrite recorded a checksum for page 6: it is verified now. *)
+      poke path ((6 * Page.size) + 7) '!';
+      let pager = Pager.create path in
+      Fun.protect ~finally:(fun () -> Pager.close pager) (fun () ->
+          check Alcotest.(option int) "rewritten page verified" (Some 6)
+            (corrupt_page_of (fun () -> Pager.read pager 6))))
+
+(* Two threads read different pages of one file through one descriptor.
+   A positioned read is one system call, so neither can move the other's
+   file position between a seek and a read. *)
+let test_real_pread_two_threads () =
+  let path = temp_path "threads" in
+  let f = Vfs.real.Vfs.open_rw path in
+  Fun.protect
+    ~finally:(fun () ->
+      f.Vfs.close ();
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      for i = 0 to 7 do
+        f.Vfs.pwrite ~buf:(page_image i) ~off:(i * Page.size)
+      done;
+      let wrong = Array.make 2 0 in
+      let reader slot id () =
+        let buf = Bytes.create Page.size in
+        let expected = page_image id in
+        for _ = 1 to 20_000 do
+          f.Vfs.pread ~buf ~off:(id * Page.size);
+          if not (Bytes.equal buf expected) then
+            wrong.(slot) <- wrong.(slot) + 1
+        done
+      in
+      let threads =
+        [ Thread.create (reader 0 2) (); Thread.create (reader 1 5) () ]
+      in
+      List.iter Thread.join threads;
+      check Alcotest.int "thread 1 always read page 2" 0 wrong.(0);
+      check Alcotest.int "thread 2 always read page 5" 0 wrong.(1))
 
 (* --- Buffer pool --- *)
 
@@ -907,6 +1078,14 @@ let () =
           Alcotest.test_case "bounds" `Quick test_pager_bounds;
           Alcotest.test_case "hooks and stats" `Quick test_pager_hooks_and_stats;
           Alcotest.test_case "in-memory backing" `Quick test_pager_in_memory;
+          Alcotest.test_case "one pread per miss" `Quick
+            test_pager_one_pread_per_miss;
+          Alcotest.test_case "allocate extends checksums" `Quick
+            test_pager_sums_grow_with_allocate;
+          Alcotest.test_case "short sidecar reads as holes" `Quick
+            test_pager_short_sidecar_reads_as_holes;
+          Alcotest.test_case "pread from two threads" `Quick
+            test_real_pread_two_threads;
         ] );
       ( "buffer_pool",
         [
