@@ -17,9 +17,9 @@ tolerance_pct=5
 
 # workload     metric                reference
 references='
-paper_l6       alloc_words_per_item  186.7
+paper_l6       alloc_words_per_item  114.9
 paper_l6       db_mb                 9.8377
-served_mix     alloc_words_per_item  2257
+served_mix     alloc_words_per_item  1790
 served_mix     db_mb                 1.9941
 '
 

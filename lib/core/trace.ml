@@ -149,8 +149,9 @@ let kind_code = function
 
 let apply ?(reraise = fun _ -> false) ~layout
     (Backend.Instance ((module B), b) : Backend.instance) op : outcome =
-  let module O = Ops.Make (B) in
-  let module V = Verify.Make (B) in
+  (* [Ops.Make] and [Verify.Make] are applied only in the arms that use
+     them: applying them costs about 270 words per call, and every served
+     read goes through here. *)
   try
     Done
       (match op with
@@ -208,9 +209,11 @@ let apply ?(reraise = fun _ -> false) ~layout
         B.set_dyn_attr b oid key value;
         V_unit
       | Text_edit oid ->
+        let module O = Ops.Make (B) in
         O.text_node_edit b ~oid;
         V_unit
       | Form_edit { oid; x; y; w; h } ->
+        let module O = Ops.Make (B) in
         O.form_node_edit b ~oid ~x ~y ~w ~h;
         V_unit
       | Lookup_unique { doc; uid } -> V_int_opt (B.lookup_unique b ~doc uid)
@@ -251,16 +254,29 @@ let apply ?(reraise = fun _ -> false) ~layout
             sum_oid := !sum_oid + oid);
         V_ints [ !count; !sum_ten; !sum_oid ]
       | Node_count doc -> V_int (B.node_count b ~doc)
-      | Closure_1n start -> V_oids (O.closure_1n b ~start)
-      | Closure_mn start -> V_oids (O.closure_mn b ~start)
+      | Closure_1n start ->
+        let module O = Ops.Make (B) in
+        V_oids (O.closure_1n b ~start)
+      | Closure_mn start ->
+        let module O = Ops.Make (B) in
+        V_oids (O.closure_mn b ~start)
       | Closure_mnatt { start; depth } ->
+        let module O = Ops.Make (B) in
         V_oids (O.closure_mnatt b ~start ~depth)
-      | Closure_1n_att_sum start -> V_int (O.closure_1n_att_sum b ~start)
-      | Closure_1n_att_set start -> V_int (O.closure_1n_att_set b ~start)
-      | Closure_1n_pred { start; x } -> V_oids (O.closure_1n_pred b ~start ~x)
+      | Closure_1n_att_sum start ->
+        let module O = Ops.Make (B) in
+        V_int (O.closure_1n_att_sum b ~start)
+      | Closure_1n_att_set start ->
+        let module O = Ops.Make (B) in
+        V_int (O.closure_1n_att_set b ~start)
+      | Closure_1n_pred { start; x } ->
+        let module O = Ops.Make (B) in
+        V_oids (O.closure_1n_pred b ~start ~x)
       | Closure_link_sum { start; depth } ->
+        let module O = Ops.Make (B) in
         V_pairs (O.closure_mnatt_link_sum b ~start ~depth)
       | Verify_checks ->
+        let module V = Verify.Make (B) in
         (* Details of failing checks can embed backend-specific exception
            messages; compare (name, verdict) only. *)
         V_checks

@@ -99,46 +99,97 @@ let encode n =
   Buffer.add_bytes buf n.form;
   Buffer.to_bytes buf
 
-(* --- decode with a cursor --- *)
+(* --- decoding ---
+
+   The fixed header is doc u32 @0, unique_id u32 @4, kind u8 @8,
+   ten u8 @9, hundred i32 @10, million u32 @14, parent u32 @18.  The
+   variable sections follow in encode order.  [decode_at] walks them all
+   with a cursor; a projected reader ([*_at]) skips the sections before
+   its own by their counts and allocates only what it returns.  Both
+   parse a section with the same code, and both raise the same
+   [Invalid_argument] when what they read runs past the window. *)
+
+let header_size = 22
+let hundred_pos = 10
+
+let truncated () = invalid_arg "Codec.decode: truncated record"
+
+let get_u32 data p = Int32.to_int (Bytes.get_int32_le data p) land 0xFFFFFFFF
+
+(* A count at [p], which must lie inside [p, limit). *)
+let count_u8 data ~limit p =
+  if p + 1 > limit then truncated ();
+  Bytes.get_uint8 data p
+
+let count_u16 data ~limit p =
+  if p + 2 > limit then truncated ();
+  Bytes.get_uint16_le data p
+
+let count_u32 data ~limit p =
+  if p + 4 > limit then truncated ();
+  get_u32 data p
+
+(* The oid and link arrays starting at [p]. *)
+let oids_from data ~limit p =
+  let n = count_u16 data ~limit p in
+  if p + 2 + (4 * n) > limit then truncated ();
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- get_u32 data (p + 2 + (4 * i))
+  done;
+  a
+
+let links_from data ~limit p =
+  let n = count_u16 data ~limit p in
+  if p + 2 + (6 * n) > limit then truncated ();
+  if n = 0 then [||]
+  else
+    Array.init n (fun i ->
+        let q = p + 2 + (6 * i) in
+        { Schema.target = get_u32 data q;
+          offset_from = Bytes.get_uint8 data (q + 4);
+          offset_to = Bytes.get_uint8 data (q + 5) })
 
 (* [limit] bounds the record inside [data], so a cursor can decode in
    place from a page buffer without extracting the record first. *)
 type cursor = { data : bytes; mutable pos : int; limit : int }
 
-let need c n =
-  if c.pos + n > c.limit then invalid_arg "Codec.decode: truncated record"
+let need c n = if c.pos + n > c.limit then truncated ()
 
 let read_u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.data c.pos) in
+  let v = count_u8 c.data ~limit:c.limit c.pos in
   c.pos <- c.pos + 1;
   v
 
-let read_u16 c =
-  let lo = read_u8 c in
-  let hi = read_u8 c in
-  lo lor (hi lsl 8)
-
 let read_u32 c =
-  let lo = read_u16 c in
-  let hi = read_u16 c in
-  lo lor (hi lsl 16)
+  let v = count_u32 c.data ~limit:c.limit c.pos in
+  c.pos <- c.pos + 4;
+  v
 
 let read_i32 c =
   let v = read_u32 c in
   if v land 0x80000000 <> 0 then v - (1 lsl 32) else v
 
 let read_oids c =
-  let n = read_u16 c in
-  Array.init n (fun _ -> read_u32 c)
+  let a = oids_from c.data ~limit:c.limit c.pos in
+  c.pos <- c.pos + 2 + (4 * Array.length a);
+  a
 
 let read_links c =
-  let n = read_u16 c in
-  Array.init n (fun _ ->
-      let target = read_u32 c in
-      let offset_from = read_u8 c in
-      let offset_to = read_u8 c in
-      { Schema.target; offset_from; offset_to })
+  let a = links_from c.data ~limit:c.limit c.pos in
+  c.pos <- c.pos + 2 + (6 * Array.length a);
+  a
+
+let read_dyn c =
+  match read_u8 c with
+  | 0 -> []
+  | n ->
+    List.init n (fun _ ->
+        let klen = read_u8 c in
+        need c klen;
+        let k = Bytes.sub_string c.data c.pos klen in
+        c.pos <- c.pos + klen;
+        (k, read_u32 c))
 
 let read_string c =
   let n = read_u32 c in
@@ -154,9 +205,14 @@ let read_bytes c =
   c.pos <- c.pos + n;
   b
 
-let decode_at data ~off ~len =
+(* Validate the window and that it holds the fixed header. *)
+let header data ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "Codec.decode_at: range outside buffer";
+  if len < header_size then truncated ()
+
+let decode_at data ~off ~len =
+  header data ~off ~len;
   let c = { data; pos = off; limit = off + len } in
   let doc = read_u32 c in
   let unique_id = read_u32 c in
@@ -170,22 +226,107 @@ let decode_at data ~off ~len =
   let part_of = read_oids c in
   let refs_to = read_links c in
   let refs_from = read_links c in
-  let dyn_count = read_u8 c in
-  let dyn =
-    List.init dyn_count (fun _ ->
-        let klen = read_u8 c in
-        need c klen;
-        let k = Bytes.sub_string c.data c.pos klen in
-        c.pos <- c.pos + klen;
-        let v = read_u32 c in
-        (k, v))
-  in
+  let dyn = read_dyn c in
   let text = read_string c in
   let form = read_bytes c in
   { doc; unique_id; kind; ten; hundred; million; parent; children; parts;
     part_of; refs_to; refs_from; dyn; text; form }
 
 let decode data = decode_at data ~off:0 ~len:(Bytes.length data)
+
+(* --- projected reads: one field from the record window --- *)
+
+let doc_at data ~off ~len =
+  header data ~off ~len;
+  get_u32 data off
+
+let unique_id_at data ~off ~len =
+  header data ~off ~len;
+  get_u32 data (off + 4)
+
+let kind_at data ~off ~len =
+  header data ~off ~len;
+  kind_of_tag (Bytes.get_uint8 data (off + 8))
+
+let ten_at data ~off ~len =
+  header data ~off ~len;
+  Bytes.get_uint8 data (off + 9)
+
+let hundred_at data ~off ~len =
+  header data ~off ~len;
+  Int32.to_int (Bytes.get_int32_le data (off + hundred_pos))
+
+let million_at data ~off ~len =
+  header data ~off ~len;
+  get_u32 data (off + 14)
+
+let parent_at data ~off ~len =
+  header data ~off ~len;
+  get_u32 data (off + 18)
+
+let set_hundred_at data ~off ~len v =
+  header data ~off ~len;
+  Bytes.set_int32_le data (off + hundred_pos) (Int32.of_int v)
+
+(* Start of each section, absolute in [data]. *)
+let after_oids data ~limit p = p + 2 + (4 * count_u16 data ~limit p)
+let after_links data ~limit p = p + 2 + (6 * count_u16 data ~limit p)
+
+let after_dyn data ~limit p =
+  let rec skip n p =
+    if n = 0 then p else skip (n - 1) (p + 1 + count_u8 data ~limit p + 4)
+  in
+  skip (count_u8 data ~limit p) (p + 1)
+
+let children_pos data ~off ~len =
+  header data ~off ~len;
+  off + header_size
+
+let parts_pos data ~off ~len =
+  after_oids data ~limit:(off + len) (children_pos data ~off ~len)
+
+let part_of_pos data ~off ~len =
+  after_oids data ~limit:(off + len) (parts_pos data ~off ~len)
+
+let refs_to_pos data ~off ~len =
+  after_oids data ~limit:(off + len) (part_of_pos data ~off ~len)
+
+let refs_from_pos data ~off ~len =
+  after_links data ~limit:(off + len) (refs_to_pos data ~off ~len)
+
+let dyn_pos data ~off ~len =
+  after_links data ~limit:(off + len) (refs_from_pos data ~off ~len)
+
+let text_pos data ~off ~len =
+  after_dyn data ~limit:(off + len) (dyn_pos data ~off ~len)
+
+let form_pos data ~off ~len =
+  let p = text_pos data ~off ~len in
+  p + 4 + count_u32 data ~limit:(off + len) p
+
+let children_at data ~off ~len =
+  oids_from data ~limit:(off + len) (children_pos data ~off ~len)
+
+let parts_at data ~off ~len =
+  oids_from data ~limit:(off + len) (parts_pos data ~off ~len)
+
+let part_of_at data ~off ~len =
+  oids_from data ~limit:(off + len) (part_of_pos data ~off ~len)
+
+let refs_to_at data ~off ~len =
+  links_from data ~limit:(off + len) (refs_to_pos data ~off ~len)
+
+let refs_from_at data ~off ~len =
+  links_from data ~limit:(off + len) (refs_from_pos data ~off ~len)
+
+let dyn_at data ~off ~len =
+  read_dyn { data; pos = dyn_pos data ~off ~len; limit = off + len }
+
+let text_at data ~off ~len =
+  read_string { data; pos = text_pos data ~off ~len; limit = off + len }
+
+let form_at data ~off ~len =
+  read_bytes { data; pos = form_pos data ~off ~len; limit = off + len }
 
 let encoded_size n = Bytes.length (encode n)
 

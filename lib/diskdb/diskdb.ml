@@ -316,6 +316,17 @@ let read_node t oid =
     cache_put t oid node;
     node
 
+(* Projected read: with the check-out cache off, read the one field
+   [at] from the pinned record window (the first overflow page of a
+   form node), decoding nothing else.  With the cache on, reads keep
+   the decode-and-cache path, so the cache ablation still measures the
+   cache. *)
+let project t oid ~cached ~at =
+  if t.object_cache_capacity > 0 then cached (read_node t oid)
+  else Heap.read_field t.heap (rid_of t oid) at
+
+let record t oid = Heap.read t.heap (rid_of t oid)
+
 let update_node t oid node =
   let rid = rid_of t oid in
   let rid' = Heap.update t.heap rid (Codec.encode node) in
@@ -498,24 +509,33 @@ let delete_node t oid =
 
 (* --- attributes --- *)
 
-let kind t oid = (read_node t oid).Codec.kind
-let unique_id t oid = (read_node t oid).Codec.unique_id
-let ten t oid = (read_node t oid).Codec.ten
-let hundred t oid = (read_node t oid).Codec.hundred
-let million t oid = (read_node t oid).Codec.million
+let kind t oid = project t oid ~cached:(fun n -> n.Codec.kind) ~at:Codec.kind_at
 
+let unique_id t oid =
+  project t oid ~cached:(fun n -> n.Codec.unique_id) ~at:Codec.unique_id_at
+
+let ten t oid = project t oid ~cached:(fun n -> n.Codec.ten) ~at:Codec.ten_at
+
+let hundred t oid =
+  project t oid ~cached:(fun n -> n.Codec.hundred) ~at:Codec.hundred_at
+
+let million t oid =
+  project t oid ~cached:(fun n -> n.Codec.million) ~at:Codec.million_at
+
+(* In place: the record keeps its length, so the new value overwrites
+   its 4 bytes through a page write that the transaction's undo and
+   redo cover like any other.  A cached node is patched too. *)
 let set_hundred t oid v =
   require_txn t;
-  let n = read_node t oid in
-  if n.Codec.hundred <> v then begin
-    let doc = n.Codec.doc in
+  let old = hundred t oid in
+  if old <> v then begin
+    let doc = project t oid ~cached:(fun n -> n.Codec.doc) ~at:Codec.doc_at in
     ignore
-      (Btree.delete t.idx_hundred ~key:(pack_key ~doc n.Codec.hundred)
-         ~value:oid
-        : bool);
+      (Btree.delete t.idx_hundred ~key:(pack_key ~doc old) ~value:oid : bool);
     Btree.insert t.idx_hundred ~key:(pack_key ~doc v) ~value:oid;
-    n.Codec.hundred <- v;
-    update_node t oid n
+    Heap.patch_with t.heap (rid_of t oid) (fun b ~off ~len ->
+        Codec.set_hundred_at b ~off ~len v);
+    if t.object_cache_capacity > 0 then (read_node t oid).Codec.hundred <- v
   end
 
 let set_dyn_attr t oid key v =
@@ -524,7 +544,9 @@ let set_dyn_attr t oid key v =
   n.Codec.dyn <- (key, v) :: List.remove_assoc key n.Codec.dyn;
   update_node t oid n
 
-let dyn_attr t oid key = List.assoc_opt key (read_node t oid).Codec.dyn
+let dyn_attr t oid key =
+  List.assoc_opt key
+    (project t oid ~cached:(fun n -> n.Codec.dyn) ~at:Codec.dyn_at)
 
 (* --- associative lookup --- *)
 
@@ -578,7 +600,10 @@ let prefetch_nodes t oids =
           (fun oid ->
             match Object_table.get t.objtab ~oid with
             | None -> []
-            | Some _ -> Array.to_list (read_node t oid).Codec.children)
+            | Some _ ->
+              Array.to_list
+                (project t oid ~cached:(fun n -> n.Codec.children)
+                   ~at:Codec.children_at))
           oids
       in
       let child_rids = resolve lookahead in
@@ -586,24 +611,32 @@ let prefetch_nodes t oids =
     end
   end
 
-let children t oid = (read_node t oid).Codec.children
+let children t oid =
+  project t oid ~cached:(fun n -> n.Codec.children) ~at:Codec.children_at
 
 let parent t oid =
-  let p = (read_node t oid).Codec.parent in
-  if p = 0 then None else Some p
+  match project t oid ~cached:(fun n -> n.Codec.parent) ~at:Codec.parent_at with
+  | 0 -> None
+  | p -> Some p
 
-let parts t oid = (read_node t oid).Codec.parts
-let part_of t oid = (read_node t oid).Codec.part_of
-let refs_to t oid = (read_node t oid).Codec.refs_to
-let refs_from t oid = (read_node t oid).Codec.refs_from
+let parts t oid =
+  project t oid ~cached:(fun n -> n.Codec.parts) ~at:Codec.parts_at
+
+let part_of t oid =
+  project t oid ~cached:(fun n -> n.Codec.part_of) ~at:Codec.part_of_at
+
+let refs_to t oid =
+  project t oid ~cached:(fun n -> n.Codec.refs_to) ~at:Codec.refs_to_at
+
+let refs_from t oid =
+  project t oid ~cached:(fun n -> n.Codec.refs_from) ~at:Codec.refs_from_at
 
 (* --- content --- *)
 
 let text t oid =
-  let n = read_node t oid in
-  if n.Codec.kind <> Schema.Text then
+  if kind t oid <> Schema.Text then
     invalid_arg (Printf.sprintf "Diskdb: node %d is not a text node" oid);
-  n.Codec.text
+  project t oid ~cached:(fun n -> n.Codec.text) ~at:Codec.text_at
 
 let set_text t oid s =
   require_txn t;
@@ -614,10 +647,13 @@ let set_text t oid s =
   update_node t oid n
 
 let form t oid =
-  let n = read_node t oid in
-  if n.Codec.kind <> Schema.Form then
+  if kind t oid <> Schema.Form then
     invalid_arg (Printf.sprintf "Diskdb: node %d is not a form node" oid);
-  Bitmap.of_bytes n.Codec.form
+  (* The payload is the record's last field, past the first overflow
+     chunk: read the whole record at once. *)
+  Bitmap.of_bytes
+    (if t.object_cache_capacity > 0 then (read_node t oid).Codec.form
+     else Heap.read_with t.heap (rid_of t oid) Codec.form_at)
 
 let set_form t oid b =
   require_txn t;

@@ -117,6 +117,11 @@ val io_counters : t -> io_counters
 val file_bytes : t -> int
 (** Current size of the data file (experiment T1). *)
 
+val record : t -> Hyper_core.Oid.t -> bytes
+(** A copy of node [oid]'s encoded record, assembled whole (see
+    {!Codec}) — for checking the projected readers against
+    {!Codec.decode}.  @raise Invalid_argument on an unknown oid. *)
+
 val stored_result_count : t -> int
 
 val stored_result : t -> int -> Hyper_core.Oid.t list

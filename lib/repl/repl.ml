@@ -369,9 +369,8 @@ module Cluster = struct
     mutable epoch : int;
     mutable next_lsn : int; (* primary's record stream position *)
     mutable commits : int; (* commits since the cluster was formed *)
-    (* retained record tail for log-replay catch-up: newest first *)
-    mutable retained : (int * bytes) list;
-    mutable retained_len : int;
+    (* retained record tail for log-replay catch-up: oldest first *)
+    retained : (int * bytes) Queue.t;
     mutable retained_base : int; (* lowest LSN still retained *)
     mutable degraded : bool;
     mutable deposed : bool;
@@ -394,17 +393,10 @@ module Cluster = struct
       ("sum", read_file t.vfs (Pager.sum_path t.path)) ]
 
   let retain t lsn bytes =
-    t.retained <- (lsn, bytes) :: t.retained;
-    t.retained_len <- t.retained_len + 1;
-    if t.retained_len > t.cfg.retain_records then begin
-      (* drop the oldest record; O(n), but n is bounded by the config *)
-      let rec drop_last = function
-        | [] | [ _ ] -> []
-        | x :: rest -> x :: drop_last rest
-      in
-      t.retained <- drop_last t.retained;
-      t.retained_len <- t.retained_len - 1;
-      t.retained_base <- lsn + 1 - t.retained_len
+    Queue.push (lsn, bytes) t.retained;
+    if Queue.length t.retained > t.cfg.retain_records then begin
+      ignore (Queue.pop t.retained : int * bytes);
+      t.retained_base <- lsn + 1 - Queue.length t.retained
     end
 
   (* Concatenated encoded records in [from_lsn, next_lsn), or None when
@@ -413,9 +405,9 @@ module Cluster = struct
     if from_lsn < t.retained_base then None
     else begin
       let buf = Buffer.create 256 in
-      List.iter
+      Queue.iter
         (fun (lsn, b) -> if lsn >= from_lsn then Buffer.add_bytes buf b)
-        (List.rev t.retained);
+        t.retained;
       Some (Buffer.to_bytes buf)
     end
 
@@ -633,8 +625,8 @@ module Cluster = struct
                    acked_lsn = 0; alive = true; hb_missed = 0; strikes = 0;
                    synced = true })
                replicas);
-        epoch = 1; next_lsn = 0; commits = 0; retained = [];
-        retained_len = 0; retained_base = 0; degraded = false;
+        epoch = 1; next_lsn = 0; commits = 0; retained = Queue.create ();
+        retained_base = 0; degraded = false;
         deposed = false;
         counters =
           { ships = 0; acks = 0; naks = 0; retries = 0; snapshots = 0;

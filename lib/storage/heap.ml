@@ -158,28 +158,64 @@ let decode t payload =
     read_overflow t ~first ~total
   | c -> invalid_arg (Printf.sprintf "Heap: corrupt record tag %d" (Char.code c))
 
+(* Look a record up in its slotted page: run [inline] on an inline
+   record's window inside the pin, or return an overflow record's
+   total length and first overflow page. *)
+let locate t rid inline =
+  Buffer_pool.with_page t.pool (rid_page rid) (fun page ->
+      let off, len = Slotted.view page (rid_slot rid) in
+      if len = 0 then
+        invalid_arg "Heap: corrupt record (empty payload)";
+      match Bytes.get page off with
+      | c when c = tag_inline -> `Done (inline page ~off:(off + 1) ~len:(len - 1))
+      | c when c = tag_overflow ->
+        `Ovf (Page.get_u32 page (off + 1), Page.get_u32 page (off + 5))
+      | c ->
+        invalid_arg (Printf.sprintf "Heap: corrupt record tag %d" (Char.code c)))
+
 (* Zero-copy read: hand the record to [k] as a range of a pinned page
    buffer when it is inline (the common case — records up to a page),
    without extracting it first.  Overflow records are assembled into a
    fresh buffer outside the pin. *)
 let read_with t rid k =
-  let res =
-    Buffer_pool.with_page t.pool (rid_page rid) (fun page ->
-        let off, len = Slotted.view page (rid_slot rid) in
-        if len = 0 then
-          invalid_arg "Heap: corrupt record (empty payload)";
-        match Bytes.get page off with
-        | c when c = tag_inline -> `Done (k page ~off:(off + 1) ~len:(len - 1))
-        | c when c = tag_overflow ->
-          `Ovf (Page.get_u32 page (off + 1), Page.get_u32 page (off + 5))
-        | c ->
-          invalid_arg (Printf.sprintf "Heap: corrupt record tag %d" (Char.code c)))
-  in
-  match res with
+  match locate t rid k with
   | `Done v -> v
   | `Ovf (total, first) ->
     let data = read_overflow t ~first ~total in
     k data ~off:0 ~len:total
+
+(* Like [read_with], but an overflow record is first offered as its
+   first chunk alone, read in place from the first overflow page: a
+   field reader that stops short of the chunk's end never assembles the
+   chain.  One that runs past it raises [Invalid_argument], and only
+   then is the whole record assembled and [k] run again. *)
+let read_field t rid k =
+  match locate t rid k with
+  | `Done v -> v
+  | `Ovf (total, first) -> (
+    let prefix =
+      Buffer_pool.with_page t.pool first (fun page ->
+          let n = Page.get_u16 page 8 in
+          match k page ~off:ovf_data_off ~len:n with
+          | v -> `Done v
+          | exception Invalid_argument _ when n < total -> `Past_chunk)
+    in
+    match prefix with
+    | `Done v -> v
+    | `Past_chunk -> k (read_overflow t ~first ~total) ~off:0 ~len:total)
+
+(* In-place write of a record that keeps its length: [k] gets the
+   record's window in its slotted page, or the first chunk of an
+   overflow record in its first overflow page, pinned for write. *)
+let patch_with t rid k =
+  match locate t rid (fun _ ~off:_ ~len:_ -> ()) with
+  | `Done () ->
+    Buffer_pool.with_page_w t.pool (rid_page rid) (fun page ->
+        let off, len = Slotted.view page (rid_slot rid) in
+        k page ~off:(off + 1) ~len:(len - 1))
+  | `Ovf (_, first) ->
+    Buffer_pool.with_page_w t.pool first (fun page ->
+        k page ~off:ovf_data_off ~len:(Page.get_u16 page 8))
 
 let read t rid =
   read_with t rid (fun b ~off ~len ->

@@ -43,6 +43,24 @@ val read_with : t -> rid -> (bytes -> off:int -> len:int -> 'a) -> 'a
     through this avoids the per-record extraction copy of {!read}.
     @raise Invalid_argument on a dangling rid. *)
 
+val read_field : t -> rid -> (bytes -> off:int -> len:int -> 'a) -> 'a
+(** {!read_with} for readers of one field.  An inline record is read
+    the same way.  An overflow record is first handed to [k] as its
+    first chunk alone, in place in the pinned first overflow page — a
+    prefix of the record.  If [k] raises [Invalid_argument] on that
+    prefix (the field runs past it), the chain is assembled and [k] runs
+    again on the whole record.  [k] must therefore have no effect
+    before it raises. *)
+
+val patch_with : t -> rid -> (bytes -> off:int -> len:int -> 'a) -> 'a
+(** In-place write: [k buf ~off ~len] gets the record's window pinned
+    for write (the page is marked dirty, so the transaction's undo and
+    redo cover it like any page write).  For an inline record that is
+    the whole record in its slotted page; for an overflow record it is
+    the first chunk in the first overflow page.  [k] may change bytes
+    inside the window only, so the record keeps its length and its
+    rid.  The same retention rules as {!read_with} apply. *)
+
 val update : t -> rid -> bytes -> rid
 (** Update in place when possible; otherwise relocate and return the new
     rid (the old rid becomes invalid). *)

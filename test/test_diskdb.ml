@@ -444,6 +444,251 @@ let test_unchanged_roots_leave_meta_clean () =
       check Alcotest.bool "no record for page 0" false (List.mem 0 pages);
       check Alcotest.bool "no write of page 0" false (List.mem 0 !writes))
 
+(* --- projected reads and the in-place scalar write --- *)
+
+module Codec = Hyper_diskdb.Codec
+module Vfs = Hyper_storage.Vfs
+
+let show_ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let show_links a =
+  show_ints
+    (Array.concat
+       (Array.to_list
+          (Array.map
+             (fun l -> [| l.Schema.target; l.Schema.offset_from; l.Schema.offset_to |])
+             a)))
+
+let show_kind = function
+  | Schema.Internal -> "internal"
+  | Schema.Text -> "text"
+  | Schema.Form -> "form"
+  | Schema.Draw -> "draw"
+
+(* Every projected reader, printed, next to the decoded field it must
+   reproduce, printed the same way. *)
+let projections :
+    (string * (bytes -> off:int -> len:int -> string) * (Codec.node -> string))
+    list =
+  let int = string_of_int in
+  let dyn l = String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ int v) l) in
+  [ ("doc", (fun b ~off ~len -> int (Codec.doc_at b ~off ~len)),
+     fun n -> int n.Codec.doc);
+    ("unique_id", (fun b ~off ~len -> int (Codec.unique_id_at b ~off ~len)),
+     fun n -> int n.Codec.unique_id);
+    ("kind", (fun b ~off ~len -> show_kind (Codec.kind_at b ~off ~len)),
+     fun n -> show_kind n.Codec.kind);
+    ("ten", (fun b ~off ~len -> int (Codec.ten_at b ~off ~len)),
+     fun n -> int n.Codec.ten);
+    ("hundred", (fun b ~off ~len -> int (Codec.hundred_at b ~off ~len)),
+     fun n -> int n.Codec.hundred);
+    ("million", (fun b ~off ~len -> int (Codec.million_at b ~off ~len)),
+     fun n -> int n.Codec.million);
+    ("parent", (fun b ~off ~len -> int (Codec.parent_at b ~off ~len)),
+     fun n -> int n.Codec.parent);
+    ("children", (fun b ~off ~len -> show_ints (Codec.children_at b ~off ~len)),
+     fun n -> show_ints n.Codec.children);
+    ("parts", (fun b ~off ~len -> show_ints (Codec.parts_at b ~off ~len)),
+     fun n -> show_ints n.Codec.parts);
+    ("part_of", (fun b ~off ~len -> show_ints (Codec.part_of_at b ~off ~len)),
+     fun n -> show_ints n.Codec.part_of);
+    ("refs_to", (fun b ~off ~len -> show_links (Codec.refs_to_at b ~off ~len)),
+     fun n -> show_links n.Codec.refs_to);
+    ("refs_from",
+     (fun b ~off ~len -> show_links (Codec.refs_from_at b ~off ~len)),
+     fun n -> show_links n.Codec.refs_from);
+    ("dyn", (fun b ~off ~len -> dyn (Codec.dyn_at b ~off ~len)),
+     fun n -> dyn n.Codec.dyn);
+    ("text", (fun b ~off ~len -> Codec.text_at b ~off ~len),
+     fun n -> n.Codec.text);
+    ("form", (fun b ~off ~len -> Bytes.to_string (Codec.form_at b ~off ~len)),
+     fun n -> Bytes.to_string n.Codec.form) ]
+
+(* The backend accessor for a projection, printed the same way, so the
+   heap's overflow-prefix path is checked along with the codec. *)
+let accessor b oid = function
+  | "unique_id" -> Some (string_of_int (B.unique_id b oid))
+  | "kind" -> Some (show_kind (B.kind b oid))
+  | "ten" -> Some (string_of_int (B.ten b oid))
+  | "hundred" -> Some (string_of_int (B.hundred b oid))
+  | "million" -> Some (string_of_int (B.million b oid))
+  | "parent" -> Some (string_of_int (Option.value ~default:0 (B.parent b oid)))
+  | "children" -> Some (show_ints (B.children b oid))
+  | "parts" -> Some (show_ints (B.parts b oid))
+  | "part_of" -> Some (show_ints (B.part_of b oid))
+  | "refs_to" -> Some (show_links (B.refs_to b oid))
+  | "refs_from" -> Some (show_links (B.refs_from b oid))
+  | _ -> None
+
+let test_projected_readers_match_decode () =
+  with_db "project" (fun b _ _ ->
+      let layout, _ = generate b in
+      let dyn_oid = Layout.level_first_oid layout 2 in
+      B.begin_txn b;
+      B.set_dyn_attr b dyn_oid "colour" 7;
+      B.set_dyn_attr b dyn_oid "weight" 12;
+      B.commit b;
+      let seen_dyn = ref false and seen_overflow = ref false in
+      B.iter_doc b ~doc:1 (fun oid ->
+          let r = B.record b oid in
+          let n = Codec.decode r in
+          if n.Codec.dyn <> [] then seen_dyn := true;
+          if n.Codec.kind = Schema.Form && Bytes.length r > Hyper_storage.Page.size
+          then seen_overflow := true;
+          (* The same record inside a larger buffer: readers honour off. *)
+          let pad = 5 in
+          let framed = Bytes.make (Bytes.length r + (2 * pad)) '\xff' in
+          Bytes.blit r 0 framed pad (Bytes.length r);
+          List.iter
+            (fun (name, at, field) ->
+              let what = Printf.sprintf "node %d %s" oid name in
+              check Alcotest.string what (field n)
+                (at r ~off:0 ~len:(Bytes.length r));
+              check Alcotest.string (what ^ " (framed)") (field n)
+                (at framed ~off:pad ~len:(Bytes.length r));
+              match accessor b oid name with
+              | Some v -> check Alcotest.string (what ^ " (accessor)") (field n) v
+              | None -> ())
+            projections;
+          (match n.Codec.kind with
+          | Schema.Text -> check Alcotest.string "text accessor" n.Codec.text (B.text b oid)
+          | Schema.Form ->
+            check Alcotest.string "form accessor" (Bytes.to_string n.Codec.form)
+              (Bytes.to_string (Hyper_util.Bitmap.to_bytes (B.form b oid)))
+          | Schema.Internal | Schema.Draw -> ());
+          check (Alcotest.option Alcotest.int) "dyn accessor"
+            (List.assoc_opt "colour" n.Codec.dyn) (B.dyn_attr b oid "colour"));
+      check Alcotest.bool "a node with dyn attributes" true !seen_dyn;
+      check Alcotest.bool "a form node in overflow pages" true !seen_overflow)
+
+(* A record with every section non-empty: each reader needs a longer
+   prefix than the one before it, and any window shorter than its
+   prefix raises Invalid_argument, as [decode_at] does. *)
+let test_truncated_window_raises () =
+  let link target = { Schema.target; offset_from = 3; offset_to = 4 } in
+  let n =
+    { Codec.doc = 1; unique_id = 9; kind = Schema.Text; ten = 4; hundred = -1;
+      million = 123456; parent = 77; children = [| 1; 2 |]; parts = [| 3 |];
+      part_of = [| 4; 5 |]; refs_to = [| link 6 |]; refs_from = [| link 7 |];
+      dyn = [ ("k", 2) ]; text = "abc"; form = Bytes.of_string "xy" }
+  in
+  let r = Codec.encode n in
+  let full = Bytes.length r in
+  let raises at len =
+    match at r ~off:0 ~len with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let needed =
+    List.map
+      (fun (name, at, field) ->
+        (* The shortest window the reader accepts... *)
+        let rec first len =
+          if len > full then Alcotest.failf "%s rejects the whole record" name
+          else if raises at len then first (len + 1)
+          else len
+        in
+        let need = first 0 in
+        (* ...and every longer window reads the right value. *)
+        for len = need to full do
+          check Alcotest.string
+            (Printf.sprintf "%s at len %d" name len)
+            (field n) (at r ~off:0 ~len)
+        done;
+        check Alcotest.bool (name ^ " needs at least the header") true (need >= 22);
+        if need > 0 then
+          check Alcotest.bool (name ^ " raises one byte short") true
+            (raises at (need - 1));
+        check Alcotest.bool (name ^ " raises outside the buffer") true
+          (match at r ~off:1 ~len:full with
+          | _ -> false
+          | exception Invalid_argument _ -> true);
+        (name, need))
+      projections
+  in
+  let sections =
+    [ "parent"; "children"; "parts"; "part_of"; "refs_to"; "refs_from";
+      "dyn"; "text"; "form" ]
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s reads past %s" b a)
+        true
+        (List.assoc a needed < List.assoc b needed);
+      increasing rest
+    | [ _ ] | [] -> ()
+  in
+  increasing sections;
+  check Alcotest.int "form reads to the end" full (List.assoc "form" needed);
+  for len = 0 to full - 1 do
+    match Codec.decode_at r ~off:0 ~len with
+    | _ -> Alcotest.failf "decode_at accepted a %d-byte prefix" len
+    | exception Invalid_argument _ -> ()
+  done
+
+(* [set_hundred] patches the record in place.  The write must behave
+   like any other: visible inside its transaction, undone by abort,
+   durable across close and reopen, and redone by recovery after a
+   crash that follows the commit — with the hundred index agreeing at
+   every step, for an inline record and an overflow (form) record. *)
+let test_in_place_set_hundred object_cache () =
+  let env =
+    Vfs.Faulty.create { Vfs.Faulty.quiet with Vfs.Faulty.power_loss = true }
+  in
+  let config =
+    { (B.default_config ~path:"/inplace/x.db") with
+      B.object_cache; durable_sync = true; vfs = Some (Vfs.Faulty.vfs env) }
+  in
+  let b = ref (B.open_db config) in
+  let layout, _ = generate !b in
+  let rng = Hyper_util.Prng.create 4L in
+  let targets = [ Layout.random_text layout rng; Layout.random_form layout rng ] in
+  let agree what oid v =
+    check Alcotest.int (what ^ ": hundred") v (B.hundred !b oid);
+    check Alcotest.bool (what ^ ": index has the value") true
+      (List.mem oid (B.range_hundred !b ~doc:1 ~lo:v ~hi:v));
+    List.iter
+      (fun other ->
+        if other <> v then
+          check Alcotest.bool (what ^ ": index lost the old value") false
+            (List.mem oid (B.range_hundred !b ~doc:1 ~lo:other ~hi:other)))
+      [ 1; 50; 100; (v mod 100) + 1 ]
+  in
+  List.iter
+    (fun oid ->
+      let h0 = B.hundred !b oid in
+      let v1 = (h0 mod 100) + 1 in
+      let v2 = (v1 mod 100) + 1 in
+      let kind = B.kind !b oid and uid = B.unique_id !b oid in
+      B.begin_txn !b;
+      B.set_hundred !b oid v1;
+      agree "inside the transaction" oid v1;
+      B.abort !b;
+      agree "after abort" oid h0;
+      B.begin_txn !b;
+      B.set_hundred !b oid v1;
+      B.commit !b;
+      B.close !b;
+      b := B.open_db config;
+      agree "after reopen" oid v1;
+      B.begin_txn !b;
+      B.set_hundred !b oid v2;
+      B.commit !b;
+      Vfs.Faulty.power_fail env;
+      b := B.open_db config;
+      (match B.last_recovery !b with
+      | Some report ->
+        check Alcotest.bool "recovery redid the commit" true
+          (report.Hyper_storage.Recovery.committed <> [])
+      | None -> Alcotest.fail "expected a recovery pass");
+      agree "after crash recovery" oid v2;
+      check Alcotest.bool "other fields intact" true
+        (B.kind !b oid = kind && B.unique_id !b oid = uid))
+    targets;
+  assert_verifies !b layout;
+  B.close !b
+
 let () =
   Alcotest.run "hyper_diskdb"
     [
@@ -481,6 +726,17 @@ let () =
             test_text_edit_grows_record;
           Alcotest.test_case "form edits through overflow" `Quick
             test_form_edit_overflow_roundtrip;
+        ] );
+      ( "projected reads",
+        [
+          Alcotest.test_case "readers match decode on every node" `Quick
+            test_projected_readers_match_decode;
+          Alcotest.test_case "truncated window raises" `Quick
+            test_truncated_window_raises;
+          Alcotest.test_case "in-place set_hundred, no object cache" `Quick
+            (test_in_place_set_hundred 0);
+          Alcotest.test_case "in-place set_hundred, object cache" `Quick
+            (test_in_place_set_hundred 4096);
         ] );
       ( "results+protocol",
         [

@@ -414,6 +414,57 @@ let test_catchup_snapshot () =
     (D.stored_result_count recovered >= 0);
   D.close recovered
 
+(* Catch-up once the retained tail has wrapped.  More records were
+   appended than [retain_records] holds, so the tail starts at
+   [retained_base] = lsn - retain_records.  A dry run measures where a
+   rejoining replica resumes ([from]); sizing the tail to reach exactly
+   back to [from] must replay the log, one record less must snapshot. *)
+let test_catchup_at_retained_base () =
+  let setup retain_records =
+    let _env, vfs, db = build_primary () in
+    let layout = layout_of () in
+    let cfg =
+      { Cluster.default_config with Cluster.retain_records;
+        snapshot_lag = max_int }
+    in
+    let cluster = cluster_of ~cfg ~vfs ~db 2 in
+    ignore (run_ops ~layout db (trace 20 513L));
+    Cluster.kill_replica cluster 0;
+    ignore (run_ops ~layout db (trace 40 514L));
+    cluster
+  in
+  let probe = setup 4096 in
+  let lsn = Cluster.lsn probe in
+  let from =
+    let r = Cluster.replica probe 0 in
+    Replica.restart r;
+    Replica.next_lsn r
+  in
+  check Alcotest.bool "the replica resumes mid-stream" true
+    (from > 0 && lsn - from > 1);
+  let rejoin retain =
+    let cluster = setup retain in
+    check Alcotest.int "same stream as the dry run" lsn (Cluster.lsn cluster);
+    check Alcotest.bool "more appends than the tail holds" true
+      (lsn > retain);
+    let c = Cluster.counters cluster in
+    let replays = c.Cluster.replays and snapshots = c.Cluster.snapshots in
+    Cluster.restart_replica cluster 0;
+    Cluster.heartbeat cluster;
+    check Alcotest.int "rejoined replica caught up" lsn
+      (Replica.next_lsn (Cluster.replica cluster 0));
+    check Alcotest.int "rejoined replica has every commit"
+      (Cluster.commits cluster)
+      (Replica.applied_commits (Cluster.replica cluster 0));
+    (c.Cluster.replays - replays, c.Cluster.snapshots - snapshots)
+  in
+  let replays, snapshots = rejoin (lsn - from) in
+  check Alcotest.bool "tail from retained_base: log replay" true
+    (replays > 0 && snapshots = 0);
+  let replays, snapshots = rejoin (lsn - from - 1) in
+  check Alcotest.bool "resume below retained_base: snapshot" true
+    (replays = 0 && snapshots > 0)
+
 (* --- failover fuzz exercises kill/restart and both catch-up paths --- *)
 
 let test_failover_with_replica_crash () =
@@ -507,6 +558,8 @@ let () =
         [
           Alcotest.test_case "log replay" `Quick test_catchup_replay;
           Alcotest.test_case "snapshot copy" `Quick test_catchup_snapshot;
+          Alcotest.test_case "wrapped tail: replay at base, snapshot below"
+            `Quick test_catchup_at_retained_base;
         ] );
     ]
 
