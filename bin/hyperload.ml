@@ -193,25 +193,6 @@ let point_row p =
     (if p.wall_s > 0.0 then float_of_int p.requests /. p.wall_s else 0.0)
     (q 50.0) (q 95.0) (q 99.0) p.errors
 
-let point_json p =
-  let module J = Hyper_util.Sjson in
-  let q pct = if Stats.count p.lat = 0 then 0.0 else Stats.percentile p.lat pct in
-  J.Obj
-    [
-      ("clients", J.Num (float_of_int p.clients));
-      ("requests", J.Num (float_of_int p.requests));
-      ("wall_s", J.Num p.wall_s);
-      ( "throughput_rps",
-        J.Num
-          (if p.wall_s > 0.0 then float_of_int p.requests /. p.wall_s else 0.0)
-      );
-      ("p50_ms", J.Num (q 50.0));
-      ("p95_ms", J.Num (q 95.0));
-      ("p99_ms", J.Num (q 99.0));
-      ("mean_ms", J.Num (if Stats.count p.lat = 0 then 0.0 else Stats.mean p.lat));
-      ("errors", J.Num (float_of_int p.errors));
-    ]
-
 (* --- server bring-up --- *)
 
 type served = {
@@ -264,7 +245,7 @@ let self_serve ~backend ~level ~fanout ~seed ~sock =
 (* --- main --- *)
 
 let main connect backend level fanout seed sock sweep mode duration_s
-    requests_per_client think_ms rate write_fraction json metrics =
+    requests_per_client think_ms rate write_fraction metrics =
   if metrics <> None then Obs.enable ();
   let served =
     match connect with
@@ -325,35 +306,6 @@ let main connect backend level fanout seed sock sweep mode duration_s
     output_string oc (Obs.to_prometheus ());
     close_out oc;
     Printf.printf "metrics -> %s\n" file);
-  (match json with
-  | None -> ()
-  | Some file ->
-    let module J = Hyper_util.Sjson in
-    let doc =
-      J.Obj
-        [
-          ( "meta",
-            J.Obj
-              [
-                ("schema", J.Num 1.0);
-                ("tool", J.Str "hyperload");
-                ("mode", J.Str mode);
-                ( "backend",
-                  J.Str (match connect with Some _ -> "remote" | None -> backend)
-                );
-                ("level", J.Num (float_of_int level));
-                ("fanout", J.Num (float_of_int fanout));
-                ("seed", J.Num (Int64.to_float seed));
-                ("write_fraction", J.Num write_fraction);
-                ("think_ms", J.Num think_ms);
-              ] );
-          ("points", J.List (List.map point_json points));
-        ]
-    in
-    let oc = open_out file in
-    output_string oc (J.to_string doc);
-    close_out oc;
-    Printf.printf "json -> %s\n" file);
   let total_errors = List.fold_left (fun a p -> a + p.errors) 0 points in
   if total_errors > 0 then begin
     Printf.printf "%d protocol error(s)\n" total_errors;
@@ -420,10 +372,6 @@ let () =
     Arg.(value & opt float 0.2 & info [ "write-fraction" ] ~docv:"F"
            ~doc:"Fraction of requests that are write transactions.")
   in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the sweep results as JSON to $(docv).")
-  in
   let metrics_arg =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
            ~doc:"Enable the metrics sink and dump Prometheus text to \
@@ -436,5 +384,4 @@ let () =
           Term.(
             const main $ connect_arg $ backend_arg $ level_arg $ fanout_arg
             $ seed_arg $ sock_arg $ sweep_arg $ mode_arg $ duration_arg
-            $ rpc_arg $ think_arg $ rate_arg $ write_arg $ json_arg
-            $ metrics_arg)))
+            $ rpc_arg $ think_arg $ rate_arg $ write_arg $ metrics_arg)))

@@ -36,7 +36,9 @@ let all =
     (v9, "Sync.Mutex acquisition against the declared rank order");
     (v10, "blocking call lexically inside a Sync.Mutex critical section");
     (v11, "raw Mutex.create/Condition.create outside lib/util");
-    (v12, "a top-level checksum/crc/crc32 binding outside lib/storage/page.ml");
+    (v12,
+     "a top-level checksum/crc/crc32 binding outside lib/storage/page.ml, \
+      or a Page.checksum call outside page.ml, pager.ml and frame_codec.ml");
   ]
 
 type result = { findings : Finding.t list; suppressed : Finding.t list }
@@ -557,6 +559,22 @@ let check_structure ?pre ~scope_all ~source (str : structure) =
           "create the lock with Hyper_util.Sync.Mutex.create ?rank \
            \"area.module.role\" (Condition via Sync.Condition.create)"
     | _ -> ());
+    (* V12, second half: one framing.  Pages are checksummed by the
+       pager, every message by the frame codec; a checksum call anywhere
+       else is a codec growing its own framing again. *)
+    (match rev with
+    | ("checksum" | "checksum_update") :: owner :: _
+      when part_matches "Page" owner
+           && not
+                (List.mem ctx.source
+                   [ "lib/storage/page.ml"; "lib/storage/pager.ml";
+                     "lib/storage/frame_codec.ml" ]) ->
+        flag v12 e.exp_loc
+          (Printf.sprintf "`%s` called outside the pager and the frame codec"
+             (Path.name p))
+          "frame the bytes with Hyper_storage.Frame_codec.write/check; it \
+           is the one place a message is checksummed"
+    | _ -> ());
     (* V10: blocking calls lexically inside a critical section. *)
     (match blocking_call p with
     | Some display when ctx.held <> [] ->
@@ -914,10 +932,9 @@ let check_structure ?pre ~scope_all ~source (str : structure) =
     ctx.bindings <- List.tl ctx.bindings;
     ctx.active_allows <- saved_allows
   in
-  (* V12: one checksum.  [Page.checksum] is the CRC-32 of pages, WAL
-     records, replication frames and wire frames; a module-level
-     [checksum]/[crc]/[crc32] elsewhere is a second kernel, or an alias
-     hiding which one a codec uses. *)
+  (* V12: one checksum.  [Page.checksum] is the CRC-32 of pages and of
+     every frame; a module-level [checksum]/[crc]/[crc32] elsewhere is a
+     second kernel, or an alias hiding which one a codec uses. *)
   let check_checksum_binding vb =
     if ctx.source <> "lib/storage/page.ml" then
       List.iter
@@ -928,8 +945,8 @@ let check_structure ?pre ~scope_all ~source (str : structure) =
                 vb.vb_pat.pat_loc
                 (Printf.sprintf "top-level `%s` outside lib/storage/page.ml"
                    name)
-                "call Hyper_storage.Page.checksum (or checksum_update for \
-                 a slice) directly; it is the one CRC-32 kernel"
+                "frame messages with Hyper_storage.Frame_codec; \
+                 Page.checksum is the one CRC-32 kernel"
           | _ -> ())
         (pat_bound_idents vb.vb_pat)
   in

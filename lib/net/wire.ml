@@ -1,10 +1,13 @@
 open Hyper_core
 
-let protocol_version = 1
+module Codec = Hyper_storage.Frame_codec
+
+let protocol_version = 2
 let max_frame_default = 16 * 1024 * 1024
-let magic0 = Char.code 'H'
-let magic1 = Char.code 'M'
-let header_bytes = 12
+
+(* Protocol 1 framed with "HM" and a version byte; its frames fail the
+   magic check. *)
+let frame_magic = 0xC2
 
 type request =
   | Hello of { client : string; protocol : int }
@@ -27,23 +30,14 @@ let fault_code_to_string = function
   | F_draining -> "draining"
   | F_internal -> "internal"
 
-type error =
+type error = Codec.error =
   | Bad_magic of int
-  | Bad_version of int
-  | Bad_crc of { expected : int; got : int }
-  | Oversized of { length : int; limit : int }
   | Unknown_kind of int
+  | Oversized of { length : int; limit : int }
+  | Bad_crc of { expected : int; got : int }
   | Malformed of string
 
-let error_to_string = function
-  | Bad_magic m -> Printf.sprintf "bad magic 0x%04x" m
-  | Bad_version v -> Printf.sprintf "unsupported protocol version %d" v
-  | Bad_crc { expected; got } ->
-    Printf.sprintf "body CRC mismatch (expected %08x, got %08x)" expected got
-  | Oversized { length; limit } ->
-    Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" length limit
-  | Unknown_kind k -> Printf.sprintf "unknown frame kind %d" k
-  | Malformed msg -> "malformed body: " ^ msg
+let error_to_string = Codec.error_to_string
 
 (* --- body writers --- *)
 
@@ -54,6 +48,10 @@ let add_str buf s =
   Buffer.add_string buf s
 
 let add_bool buf b = Buffer.add_uint8 buf (if b then 1 else 0)
+
+let add_list buf add l =
+  add_int buf (List.length l);
+  List.iter (add buf) l
 
 let encode_value buf = function
   | Trace.V_unit -> Buffer.add_uint8 buf 0
@@ -66,40 +64,22 @@ let encode_value buf = function
     add_int buf n
   | Trace.V_ints l ->
     Buffer.add_uint8 buf 4;
-    add_int buf (List.length l);
-    List.iter (add_int buf) l
+    add_list buf add_int l
   | Trace.V_oids l ->
     Buffer.add_uint8 buf 5;
-    add_int buf (List.length l);
-    List.iter (add_int buf) l
+    add_list buf add_int l
   | Trace.V_links l ->
     Buffer.add_uint8 buf 6;
-    add_int buf (List.length l);
-    List.iter
-      (fun (t, f, o) ->
-        add_int buf t;
-        add_int buf f;
-        add_int buf o)
-      l
+    add_list buf (fun buf (t, f, o) -> add_int buf t; add_int buf f; add_int buf o) l
   | Trace.V_pairs l ->
     Buffer.add_uint8 buf 7;
-    add_int buf (List.length l);
-    List.iter
-      (fun (o, d) ->
-        add_int buf o;
-        add_int buf d)
-      l
+    add_list buf (fun buf (o, d) -> add_int buf o; add_int buf d) l
   | Trace.V_string s ->
     Buffer.add_uint8 buf 8;
     add_str buf s
   | Trace.V_checks l ->
     Buffer.add_uint8 buf 9;
-    add_int buf (List.length l);
-    List.iter
-      (fun (name, ok) ->
-        add_str buf name;
-        add_bool buf ok)
-      l
+    add_list buf (fun buf (name, ok) -> add_str buf name; add_bool buf ok) l
   | Trace.V_form (w, h, data) ->
     Buffer.add_uint8 buf 10;
     add_int buf w;
@@ -116,103 +96,93 @@ let encode_outcome buf = function
 
 (* --- body readers ---
 
-   All failures funnel through [fail]/[Failure]; the frame decoder maps
-   them to [Malformed].  Every length that drives an allocation or a
-   loop is validated against the remaining input first, so a corrupt
-   count cannot demand gigabytes or spin. *)
+   A reader walks a cursor over one body, in place in the decoder's
+   buffer, and never past [stop], the body's end.  All failures funnel
+   through [fail]/[Failure]; the decoder maps them to [Malformed].
+   Every length that drives an allocation or a loop is validated
+   against the remaining body first, so a corrupt count cannot demand
+   gigabytes or spin. *)
+
+type cursor = { mutable b : bytes; mutable pos : int; mutable stop : int }
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let read_u8 b pos =
-  if !pos + 1 > Bytes.length b then fail "truncated (u8 at %d)" !pos;
-  let v = Bytes.get_uint8 b !pos in
-  incr pos;
-  v
+(* Offset of the next [n] bytes, which the caller then reads. *)
+let take c n what =
+  if n > c.stop - c.pos then fail "truncated (%s at %d)" what c.pos;
+  c.pos <- c.pos + n;
+  c.pos - n
 
-let read_int b pos =
-  if !pos + 8 > Bytes.length b then fail "truncated (int at %d)" !pos;
-  let v = Int64.to_int (Bytes.get_int64_le b !pos) in
-  pos := !pos + 8;
-  v
+let read_u8 c = Bytes.get_uint8 c.b (take c 1 "u8")
+let read_int c = Int64.to_int (Bytes.get_int64_le c.b (take c 8 "int"))
 
-let read_len ~min_elt b pos =
-  let n = read_int b pos in
+let read_len ~min_elt c =
+  let n = read_int c in
   if n < 0 then fail "negative count %d" n;
-  if min_elt > 0 && n * min_elt > Bytes.length b - !pos then
+  if n > (c.stop - c.pos) / min_elt then
     fail "count %d exceeds remaining input" n;
   n
 
-let read_str b pos =
-  let n = read_len ~min_elt:1 b pos in
-  if n > Bytes.length b - !pos then fail "truncated (string of %d at %d)" n !pos;
-  let s = Bytes.sub_string b !pos n in
-  pos := !pos + n;
-  s
+let read_str c =
+  let n = read_len ~min_elt:1 c in
+  Bytes.sub_string c.b (take c n "string") n
 
-let read_bool b pos =
-  match read_u8 b pos with
+let read_bool c =
+  match read_u8 c with
   | 0 -> false
   | 1 -> true
   | v -> fail "bad bool %d" v
 
-let read_list ~min_elt b pos elt =
-  let n = read_len ~min_elt b pos in
-  List.init n (fun _ -> elt b pos)
+let read_list ~min_elt c elt = List.init (read_len ~min_elt c) (fun _ -> elt c)
 
-let decode_value b ~pos =
-  match read_u8 b pos with
+let read_value c =
+  match read_u8 c with
   | 0 -> Trace.V_unit
-  | 1 -> Trace.V_int (read_int b pos)
+  | 1 -> Trace.V_int (read_int c)
   | 2 -> Trace.V_int_opt None
-  | 3 -> Trace.V_int_opt (Some (read_int b pos))
-  | 4 -> Trace.V_ints (read_list ~min_elt:8 b pos read_int)
-  | 5 -> Trace.V_oids (read_list ~min_elt:8 b pos read_int)
+  | 3 -> Trace.V_int_opt (Some (read_int c))
+  | 4 -> Trace.V_ints (read_list ~min_elt:8 c read_int)
+  | 5 -> Trace.V_oids (read_list ~min_elt:8 c read_int)
   | 6 ->
     Trace.V_links
-      (read_list ~min_elt:24 b pos (fun b pos ->
-           let t = read_int b pos in
-           let f = read_int b pos in
-           let o = read_int b pos in
+      (read_list ~min_elt:24 c (fun c ->
+           let t = read_int c in
+           let f = read_int c in
+           let o = read_int c in
            (t, f, o)))
   | 7 ->
     Trace.V_pairs
-      (read_list ~min_elt:16 b pos (fun b pos ->
-           let o = read_int b pos in
-           let d = read_int b pos in
+      (read_list ~min_elt:16 c (fun c ->
+           let o = read_int c in
+           let d = read_int c in
            (o, d)))
-  | 8 -> Trace.V_string (read_str b pos)
+  | 8 -> Trace.V_string (read_str c)
   | 9 ->
     Trace.V_checks
-      (read_list ~min_elt:9 b pos (fun b pos ->
-           let name = read_str b pos in
-           let ok = read_bool b pos in
+      (read_list ~min_elt:9 c (fun c ->
+           let name = read_str c in
+           let ok = read_bool c in
            (name, ok)))
   | 10 ->
-    let w = read_int b pos in
-    let h = read_int b pos in
-    let data = read_str b pos in
+    let w = read_int c in
+    let h = read_int c in
+    let data = read_str c in
     Trace.V_form (w, h, data)
   | t -> fail "unknown value tag %d" t
 
-let decode_outcome b ~pos =
-  match read_u8 b pos with
-  | 0 -> Trace.Done (decode_value b ~pos)
-  | 1 -> Trace.Raised (read_str b pos)
+let read_outcome c =
+  match read_u8 c with
+  | 0 -> Trace.Done (read_value c)
+  | 1 -> Trace.Raised (read_str c)
   | t -> fail "unknown outcome tag %d" t
 
 (* --- frame assembly --- *)
 
-let frame ~kind body =
-  let blen = Bytes.length body in
-  let out = Bytes.create (header_bytes + blen) in
-  Bytes.set_uint8 out 0 magic0;
-  Bytes.set_uint8 out 1 magic1;
-  Bytes.set_uint8 out 2 protocol_version;
-  Bytes.set_uint8 out 3 kind;
-  Bytes.set_int32_le out 4 (Int32.of_int blen);
-  Bytes.set_int32_le out 8 (Int32.of_int (Hyper_storage.Page.checksum body));
-  Bytes.blit body 0 out header_bytes blen;
-  out
+(* The body is built in [buf] and copied once, into the frame. *)
+let blit_body buf b off = Buffer.blit buf 0 b off (Buffer.length buf)
+
+let frame ~kind buf =
+  Codec.write ~magic:frame_magic ~kind ~len:(Buffer.length buf) blit_body buf
 
 let k_hello = 1
 and k_ops = 2
@@ -234,8 +204,7 @@ let encode_request r =
       k_hello
     | Ops { rid; ops } ->
       add_int buf rid;
-      add_int buf (List.length ops);
-      List.iter (fun op -> add_str buf (Trace.op_to_string op)) ops;
+      add_list buf (fun buf op -> add_str buf (Trace.op_to_string op)) ops;
       k_ops
     | Ping { rid } ->
       add_int buf rid;
@@ -246,7 +215,7 @@ let encode_request r =
       k_snapshot
     | Bye -> k_bye
   in
-  frame ~kind (Buffer.to_bytes buf)
+  frame ~kind buf
 
 let fault_code_tag = function
   | F_bad_frame -> 1
@@ -272,8 +241,7 @@ let encode_response r =
       k_welcome
     | Results { rid; outcomes } ->
       add_int buf rid;
-      add_int buf (List.length outcomes);
-      List.iter (encode_outcome buf) outcomes;
+      add_list buf encode_outcome outcomes;
       k_results
     | Fault { rid; code; message } ->
       add_int buf rid;
@@ -284,79 +252,77 @@ let encode_response r =
       add_int buf rid;
       k_pong
   in
-  frame ~kind (Buffer.to_bytes buf)
+  frame ~kind buf
 
 let parse_op line =
   try Trace.op_of_string line
   with Failure msg -> fail "op: %s" msg
 
-let parse_request ~kind body =
-  let pos = ref 0 in
+let parse_request ~kind c =
   if kind = k_hello then begin
-    let client = read_str body pos in
-    let protocol = read_int body pos in
+    let client = read_str c in
+    let protocol = read_int c in
     Hello { client; protocol }
   end
   else if kind = k_ops then begin
-    let rid = read_int body pos in
-    let ops = read_list ~min_elt:9 body pos (fun b pos -> parse_op (read_str b pos)) in
+    let rid = read_int c in
+    let ops = read_list ~min_elt:9 c (fun c -> parse_op (read_str c)) in
     Ops { rid; ops }
   end
-  else if kind = k_ping then Ping { rid = read_int body pos }
+  else if kind = k_ping then Ping { rid = read_int c }
   else if kind = k_snapshot then begin
-    let rid = read_int body pos in
-    let active = read_bool body pos in
+    let rid = read_int c in
+    let active = read_bool c in
     Snapshot { rid; active }
   end
-  else if kind = k_bye then Bye
-  else fail "kind %d is not a request" kind
+  else Bye
 
-let parse_response ~kind body =
-  let pos = ref 0 in
+let parse_response ~kind c =
   if kind = k_welcome then begin
-    let session = read_int body pos in
-    let server = read_str body pos in
-    let protocol = read_int body pos in
+    let session = read_int c in
+    let server = read_str c in
+    let protocol = read_int c in
     Welcome { session; server; protocol }
   end
   else if kind = k_results then begin
-    let rid = read_int body pos in
-    let outcomes = read_list ~min_elt:2 body pos (fun b pos -> decode_outcome b ~pos) in
+    let rid = read_int c in
+    let outcomes = read_list ~min_elt:2 c read_outcome in
     Results { rid; outcomes }
   end
   else if kind = k_fault then begin
-    let rid = read_int body pos in
-    let code = fault_code_of_tag (read_u8 body pos) in
-    let message = read_str body pos in
+    let rid = read_int c in
+    let code = fault_code_of_tag (read_u8 c) in
+    let message = read_str c in
     Fault { rid; code; message }
   end
-  else if kind = k_pong then Pong { rid = read_int body pos }
-  else fail "kind %d is not a response" kind
+  else Pong { rid = read_int c }
 
 (* --- streaming decoder --- *)
 
 module Decoder = struct
   type 'a t = {
-    parse : kind:int -> bytes -> 'a;
-    request_side : bool;
+    parse : kind:int -> cursor -> 'a;
+    kinds : int -> bool;  (* this side's frame kinds *)
     max_frame : int;
+    body : cursor;  (* over the frame being parsed; reused, not allocated *)
     mutable buf : bytes;
     mutable start : int;  (* first unconsumed byte *)
     mutable len : int;  (* bytes buffered from [start] *)
     mutable poisoned : error option;
   }
 
-  let make ~request_side ~max_frame parse =
-    { parse; request_side; max_frame; buf = Bytes.create 4096; start = 0;
-      len = 0; poisoned = None }
+  let make ~kinds ~max_frame parse =
+    let buf = Bytes.create 4096 in
+    { parse; kinds; max_frame; body = { b = buf; pos = 0; stop = 0 }; buf;
+      start = 0; len = 0; poisoned = None }
 
   let create_request ?(max_frame = max_frame_default) () =
-    make ~request_side:true ~max_frame (fun ~kind body ->
-        parse_request ~kind body)
+    make ~kinds:(fun k -> k >= k_hello && k <= k_snapshot) ~max_frame
+      parse_request
 
   let create_response ?(max_frame = max_frame_default) () =
-    make ~request_side:false ~max_frame (fun ~kind body ->
-        parse_response ~kind body)
+    make ~kinds:(fun k -> k >= k_welcome && k <= k_pong) ~max_frame
+      parse_response
 
   let buffered t = t.len
 
@@ -365,17 +331,13 @@ module Decoder = struct
   let reserve t extra =
     let cap = Bytes.length t.buf in
     if t.start + t.len + extra > cap then begin
-      if t.len + extra <= cap then begin
-        Bytes.blit t.buf t.start t.buf 0 t.len;
-        t.start <- 0
-      end
-      else begin
-        let cap' = max (t.len + extra) (2 * cap) in
-        let buf' = Bytes.create cap' in
-        Bytes.blit t.buf t.start buf' 0 t.len;
-        t.buf <- buf';
-        t.start <- 0
-      end
+      let buf' =
+        if t.len + extra <= cap then t.buf
+        else Bytes.create (max (t.len + extra) (2 * cap))
+      in
+      Bytes.blit t.buf t.start buf' 0 t.len;
+      t.buf <- buf';
+      t.start <- 0
     end
 
   let feed t src ~off ~len =
@@ -389,11 +351,6 @@ module Decoder = struct
       t.len <- t.len + len
     end
 
-  let peek_u8 t i = Bytes.get_uint8 t.buf (t.start + i)
-
-  let peek_u32 t i =
-    Int32.to_int (Bytes.get_int32_le t.buf (t.start + i)) land 0xFFFFFFFF
-
   let poison t e =
     t.poisoned <- Some e;
     t.len <- 0;
@@ -402,45 +359,24 @@ module Decoder = struct
   let next t =
     match t.poisoned with
     | Some e -> Some (Error e)
-    | None ->
-      if t.len < header_bytes then None
-      else begin
-        let m = (peek_u8 t 0 lsl 8) lor peek_u8 t 1 in
-        if m <> (magic0 lsl 8) lor magic1 then poison t (Bad_magic m)
-        else if peek_u8 t 2 <> protocol_version then
-          poison t (Bad_version (peek_u8 t 2))
-        else begin
-          let kind = peek_u8 t 3 in
-          let wrong_side =
-            if t.request_side then kind >= 128 else kind < 128
-          in
-          let known =
-            List.mem kind
-              [ k_hello; k_ops; k_ping; k_bye; k_snapshot; k_welcome;
-                k_results; k_fault; k_pong ]
-          in
-          if (not known) || wrong_side then poison t (Unknown_kind kind)
-          else begin
-            let blen = peek_u32 t 4 in
-            if blen > t.max_frame then
-              poison t (Oversized { length = blen; limit = t.max_frame })
-            else if t.len < header_bytes + blen then None
-            else begin
-              let expected = peek_u32 t 8 in
-              (* Fresh copy: the decoded frame must not alias the ring
-                 buffer, which the next [feed] overwrites. *)
-              let body = Bytes.sub t.buf (t.start + header_bytes) blen in
-              t.start <- t.start + header_bytes + blen;
-              t.len <- t.len - (header_bytes + blen);
-              if t.len = 0 then t.start <- 0;
-              let got = Hyper_storage.Page.checksum body in
-              if got <> expected then poison t (Bad_crc { expected; got })
-              else
-                match t.parse ~kind body with
-                | v -> Some (Ok v)
-                | exception Failure msg -> poison t (Malformed msg)
-            end
-          end
-        end
-      end
+    | None -> (
+      match
+        Codec.check ~magic:frame_magic ~kinds:t.kinds ~max:t.max_frame t.buf
+          ~off:t.start ~len:t.len
+      with
+      | Codec.Short -> None
+      | Codec.Bad e -> poison t e
+      | Codec.Frame { kind; body; stop; len = _ } -> (
+        (* The body is parsed in place: nothing is fed before [next]
+           returns, and every decoded value is a fresh copy. *)
+        let c = t.body in
+        c.b <- t.buf;
+        c.pos <- body;
+        c.stop <- stop;
+        t.len <- t.len - (stop - t.start);
+        t.start <- (if t.len = 0 then 0 else stop);
+        match t.parse ~kind c with
+        | v when c.pos = c.stop -> Some (Ok v)
+        | _ -> poison t (Malformed "trailing bytes")
+        | exception Failure msg -> poison t (Malformed msg)))
 end

@@ -1,15 +1,9 @@
 (** The binary wire protocol of the socket server.
 
-    Frames are length-prefixed and CRC-framed:
-
-    {v
-    offset 0   magic      2 bytes  "HM"
-    offset 2   version    1 byte   {!protocol_version}
-    offset 3   kind       1 byte   frame tag (requests < 128 <= responses)
-    offset 4   body len   4 bytes  little-endian
-    offset 8   body CRC   4 bytes  CRC-32 (IEEE) of the body
-    offset 12  body
-    v}
+    A frame is one {!Hyper_storage.Frame_codec} frame (DESIGN.md §15):
+    magic [0xC2], the kind (requests < 128 <= responses), the body
+    length and one CRC-32 over header and body.  Protocol 1's ["HM"]
+    frames fail with [Bad_magic].
 
     Request bodies carry batches of reified {!Hyper_core.Trace.op} —
     the same vocabulary the differential fuzzer replays, serialised in
@@ -81,13 +75,12 @@ val encode_response : response -> bytes
 
 (** {2 Decoding} *)
 
-type error =
+type error = Hyper_storage.Frame_codec.error =
   | Bad_magic of int
-  | Bad_version of int
-  | Bad_crc of { expected : int; got : int }
-  | Oversized of { length : int; limit : int }
   | Unknown_kind of int
-  | Malformed of string
+  | Oversized of { length : int; limit : int }
+  | Bad_crc of { expected : int; got : int }
+  | Malformed of string  (** the body does not parse *)
 
 val error_to_string : error -> string
 
@@ -115,16 +108,9 @@ module Decoder : sig
 
   val next : 'a t -> ('a, error) result option
   (** The next complete frame, a typed error, or [None] when more
-      bytes are needed. *)
+      bytes are needed.  The body is parsed in place in the decoder's
+      buffer and must fill the frame exactly. *)
 
   val buffered : _ t -> int
   (** Bytes fed but not yet consumed by completed frames. *)
 end
-
-(** {2 Body codecs} — exposed for tests (round-trip every frame type
-    and fuzz the outcome codec directly). *)
-
-val encode_outcome : Buffer.t -> Trace.outcome -> unit
-val decode_outcome : bytes -> pos:int ref -> Trace.outcome
-(** @raise Failure on malformed input (wrapped into {!Malformed} by the
-    frame decoder). *)

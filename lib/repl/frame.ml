@@ -12,23 +12,12 @@ type t =
   | Fence of { epoch : int }
 
 (* Earlier layouts fail the magic check: 0xB3 had a 30-bit rolling-hash
-   trailer, 0xB4 shipped WAL records carrying whole-page images. *)
-let frame_magic = 0xB5
+   trailer, 0xB4 shipped WAL records carrying whole-page images, 0xB5
+   had its own header and a trailing CRC. *)
+let frame_magic = 0xB6
 
 module Page = Hyper_storage.Page
-
-let tag_of = function
-  | Append _ -> 1
-  | Heartbeat _ -> 2
-  | Snapshot _ -> 3
-  | Ack _ -> 4
-  | Nak _ -> 5
-  | Fence _ -> 6
-
-let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
-let add_bytes_u32 buf b =
-  add_u32 buf (Bytes.length b);
-  Buffer.add_bytes buf b
+module Codec = Hyper_storage.Frame_codec
 
 let epoch_of = function
   | Append { epoch; _ }
@@ -38,89 +27,80 @@ let epoch_of = function
   | Nak { epoch; _ }
   | Fence { epoch } -> epoch
 
+(* A message is its tag (the frame's kind) and a body: the epoch, then
+   the variant's u32 fields; a snapshot file is a u32-length name and
+   u32-length data, and an [Append] payload is the rest of the body. *)
+type piece = U32 of int | Raw of bytes
+
+let pieces = function
+  | Append { epoch; base_lsn; payload } -> (1, [ U32 epoch; U32 base_lsn; Raw payload ])
+  | Heartbeat { epoch; commit_lsn } -> (2, [ U32 epoch; U32 commit_lsn ])
+  | Snapshot { epoch; lsn; commits; files } ->
+    let blob b = [ U32 (Bytes.length b); Raw b ] in
+    ( 3,
+      U32 epoch :: U32 lsn :: U32 commits :: U32 (List.length files)
+      :: List.concat_map (fun (name, data) -> blob (Bytes.of_string name) @ blob data) files )
+  | Ack { epoch; lsn } -> (4, [ U32 epoch; U32 lsn ])
+  | Nak { epoch; lsn } -> (5, [ U32 epoch; U32 lsn ])
+  | Fence { epoch } -> (6, [ U32 epoch ])
+
+let piece_len = function U32 _ -> 4 | Raw b -> Bytes.length b
+
+let write_pieces ps b off =
+  ignore
+    (List.fold_left
+       (fun pos p ->
+         (match p with
+         | U32 v -> Page.set_u32 b pos v
+         | Raw r -> Bytes.blit r 0 b pos (Bytes.length r));
+         pos + piece_len p)
+       off ps)
+
 let encode t =
-  let buf = Buffer.create 64 in
-  Buffer.add_uint8 buf frame_magic;
-  Buffer.add_uint8 buf (tag_of t);
-  add_u32 buf (epoch_of t);
-  (match t with
-  | Append { epoch = _epoch; base_lsn; payload } ->
-    add_u32 buf base_lsn;
-    add_bytes_u32 buf payload
-  | Heartbeat { epoch = _epoch; commit_lsn } -> add_u32 buf commit_lsn
-  | Snapshot { epoch = _epoch; lsn; commits; files } ->
-    add_u32 buf lsn;
-    add_u32 buf commits;
-    add_u32 buf (List.length files);
-    List.iter
-      (fun (name, data) ->
-        add_bytes_u32 buf (Bytes.of_string name);
-        add_bytes_u32 buf data)
-      files
-  | Ack { epoch = _epoch; lsn } -> add_u32 buf lsn
-  | Nak { epoch = _epoch; lsn } -> add_u32 buf lsn
-  | Fence { epoch = _epoch } -> ());
-  let body = Buffer.to_bytes buf in
-  let out = Bytes.create (Bytes.length body + 4) in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  Bytes.set_int32_le out (Bytes.length body)
-    (Int32.of_int (Page.checksum body));
-  out
+  let kind, ps = pieces t in
+  let len = List.fold_left (fun n p -> n + piece_len p) 0 ps in
+  Codec.write ~magic:frame_magic ~kind ~len write_pieces ps
 
 exception Bad
 
 let decode b =
-  let len = Bytes.length b in
-  if len < 10 then None
-  else begin
-    let body_len = len - 4 in
-    let crc = Int32.to_int (Bytes.get_int32_le b body_len) land 0xFFFFFFFF in
-    if crc <> Page.checksum_update 0 b ~pos:0 ~len:body_len then None
-    else begin
-      let pos = ref 2 in
-      let u32 () =
-        if !pos + 4 > body_len then raise Bad;
-        let v = Int32.to_int (Bytes.get_int32_le b !pos) land 0xFFFFFFFF in
-        pos := !pos + 4;
-        v
+  match
+    Codec.check ~magic:frame_magic ~kinds:(fun k -> k >= 1 && k <= 6)
+      ~max:max_int b ~off:0 ~len:(Bytes.length b)
+  with
+  | Codec.Frame { kind; body; stop; len = _ } when stop = Bytes.length b -> (
+    let pos = ref body in
+    let take n =
+      if n > stop - !pos then raise Bad;
+      pos := !pos + n;
+      !pos - n
+    in
+    let u32 () = Page.get_u32 b (take 4) in
+    let blob n = Bytes.sub b (take n) n in
+    try
+      let epoch = u32 () in
+      let t =
+        match kind with
+        | 1 ->
+          let base_lsn = u32 () in
+          Append { epoch; base_lsn; payload = blob (stop - !pos) }
+        | 2 -> Heartbeat { epoch; commit_lsn = u32 () }
+        | 3 ->
+          let lsn = u32 () in
+          let commits = u32 () in
+          let files =
+            List.init (u32 ()) (fun _ ->
+                let name = Bytes.to_string (blob (u32 ())) in
+                (name, blob (u32 ())))
+          in
+          Snapshot { epoch; lsn; commits; files }
+        | 4 -> Ack { epoch; lsn = u32 () }
+        | 5 -> Nak { epoch; lsn = u32 () }
+        | _ -> Fence { epoch }
       in
-      let bytes_u32 () =
-        let n = u32 () in
-        if !pos + n > body_len then raise Bad;
-        let v = Bytes.sub b !pos n in
-        pos := !pos + n;
-        v
-      in
-      try
-        if Bytes.get_uint8 b 0 <> frame_magic then None
-        else begin
-          let tag = Bytes.get_uint8 b 1 in
-          let epoch = u32 () in
-          match tag with
-          | 1 ->
-            let base_lsn = u32 () in
-            let payload = bytes_u32 () in
-            Some (Append { epoch; base_lsn; payload })
-          | 2 -> Some (Heartbeat { epoch; commit_lsn = u32 () })
-          | 3 ->
-            let lsn = u32 () in
-            let commits = u32 () in
-            let n = u32 () in
-            let files = ref [] in
-            for _ = 1 to n do
-              let name = Bytes.to_string (bytes_u32 ()) in
-              let data = bytes_u32 () in
-              files := (name, data) :: !files
-            done;
-            Some (Snapshot { epoch; lsn; commits; files = List.rev !files })
-          | 4 -> Some (Ack { epoch; lsn = u32 () })
-          | 5 -> Some (Nak { epoch; lsn = u32 () })
-          | 6 -> Some (Fence { epoch })
-          | _ -> None
-        end
-      with Bad -> None
-    end
-  end
+      if !pos = stop then Some t else None
+    with Bad -> None)
+  | Codec.Frame _ | Codec.Short | Codec.Bad _ -> None
 
 (* Handlers that only care whether a response was a positive ack (e.g.
    direct snapshot seeding) — enumerated, not wildcarded, so the epoch

@@ -7,16 +7,15 @@
     always look at the epoch field before anything else (the
     [epoch-check] hyperlint rule enforces this at the pattern level).
 
-    [Append] payloads are concatenated WAL records in their on-disk
-    encoding ({!Hyper_storage.Wal.encode_entry}), so every shipped
-    record keeps its own CRC; the frame adds a second, frame-level CRC
-    over the whole message.  [base_lsn] is the LSN of the payload's
-    first record.
-
-    Layout: a magic byte ([0xB5]), a tag byte, then the little-endian u32 fields
-    of the variant (byte strings as u32 length plus bytes), then a full
-    32-bit CRC-32 ({!Hyper_storage.Page.checksum}) of everything before
-    it.
+    A message is one {!Hyper_storage.Frame_codec} frame (DESIGN.md
+    §15): magic [0xB6], the variant's tag as the kind, the body length
+    and one CRC-32 over header and body.  The body is the epoch, then
+    the variant's u32 fields; a snapshot file is a u32-length name and
+    u32-length data.  An [Append] payload fills the rest of the body: it
+    is concatenated WAL records as written
+    ({!Hyper_storage.Wal.encode_entry}), so every shipped record keeps
+    its own CRC inside the message's.  [base_lsn] is the LSN of the
+    payload's first record.
 
     [Ack { lsn; _ }] means "my received log is contiguous through
     [lsn - 1]; [lsn] is the next record I expect".  [Nak] requests a
@@ -43,7 +42,8 @@ val ack_lsn : t -> int option
 val encode : t -> bytes
 
 val decode : bytes -> t option
-(** [None] on bad magic, bad CRC, truncation or an unknown tag — a
-    garbled frame is dropped, never half-parsed. *)
+(** [None] on a bad or short frame, an unknown tag, or a body that does
+    not hold exactly the tag's fields — a garbled frame is dropped,
+    never half-parsed. *)
 
 val to_string : t -> string

@@ -29,8 +29,8 @@ val set_sub : bytes -> pos:int -> bytes -> unit
 val checksum : bytes -> int
 (** CRC-32 (IEEE) of a buffer.  This is the system's only checksum: the
     page-image CRC {!Pager} stores in the [.sum] sidecar and verifies on
-    every read, the {!Wal} record CRC, and the replication and wire
-    frame CRCs.  The result is in [0 .. 0xFFFFFFFF].
+    every read, and the CRC of every {!Frame_codec} frame: WAL records,
+    replication and wire messages.  The result is in [0 .. 0xFFFFFFFF].
 
     The kernel is C.  On an x86-64 CPU with PCLMULQDQ it folds 64 bytes
     per step with carry-less multiplication; everywhere else, and for

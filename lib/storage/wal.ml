@@ -43,27 +43,10 @@ type t = {
 
 (* Every earlier record format used a magic in [first_entry_magic ..
    entry_magic - 1]: 0xA7 had a weak rolling-hash trailer, 0xA8 carried
-   whole-page images.  See [check_format]. *)
-let entry_magic = 0xA9
+   whole-page images, 0xA9 had its own 14-byte header.  See
+   [check_format]. *)
+let entry_magic = 0xAA
 let first_entry_magic = 0xA7
-
-let kind_of = function
-  | Begin _ -> 1
-  | Before _ -> 2
-  | After _ -> 3
-  | Commit _ -> 4
-  | Checkpoint -> 5
-
-let ranges_of = function
-  | Begin _ | Commit _ | Checkpoint -> []
-  | Before (_, _, rs) | After (_, _, rs) -> rs
-
-let ids_of = function
-  | Begin t -> (t, 0)
-  | Commit t -> (t, 0)
-  | Checkpoint -> (0, 0)
-  | Before (t, p, _) -> (t, p)
-  | After (t, p, _) -> (t, p)
 
 (* --- byte ranges --- *)
 
@@ -107,10 +90,9 @@ let patch page rs =
 let payload_length rs =
   List.fold_left (fun acc (_, b) -> acc + range_header + Bytes.length b) 0 rs
 
-(* The ranges of a payload at [data.(pos .. pos + len)], or [None] when
-   they do not tile it exactly or leave the page. *)
-let decode_ranges data pos len =
-  let stop = pos + len in
+(* The ranges at [data.(pos .. stop - 1)], or [None] when they do not
+   tile it exactly or leave the page. *)
+let decode_ranges data pos stop =
   let rec go p acc =
     if p = stop then Some (List.rev acc)
     else if p + range_header > stop then None
@@ -122,79 +104,68 @@ let decode_ranges data pos len =
   in
   go pos []
 
-let header_bytes = 14
+(* Replication ships records verbatim, so a shipped frame carries the
+   same per-record CRC the log file does. *)
+let write_body e b off =
+  match e with
+  | Checkpoint -> ()
+  | Begin t | Commit t -> Page.set_u32 b off t
+  | Before (t, p, rs) | After (t, p, rs) ->
+    Page.set_u32 b off t;
+    Page.set_u32 b (off + 4) p;
+    ignore
+      (List.fold_left
+         (fun pos (roff, r) ->
+           let rlen = Bytes.length r in
+           if roff < 0 || roff + rlen > Page.size then
+             invalid_arg "Wal.encode_entry: range outside the page";
+           Page.set_u16 b pos roff;
+           Page.set_u16 b (pos + 2) rlen;
+           Bytes.blit r 0 b (pos + range_header) rlen;
+           pos + range_header + rlen)
+         (off + 8) rs)
 
-(* The exact on-disk (and on-wire) representation of one record: a
-   14-byte header, the ranges, and one CRC-32 over both.  Replication
-   ships these bytes verbatim, so a shipped frame carries the same
-   per-record checksum the log file does. *)
 let encode_entry e =
-  let rs = ranges_of e in
-  let plen = payload_length rs in
-  let txn, page = ids_of e in
-  let body = header_bytes + plen in
-  let b = Bytes.create (body + 4) in
-  Page.set_u8 b 0 entry_magic;
-  Page.set_u8 b 1 (kind_of e);
-  Page.set_u32 b 2 txn;
-  Page.set_u32 b 6 page;
-  Page.set_u32 b 10 plen;
-  let pos = ref header_bytes in
-  List.iter
-    (fun (off, r) ->
-      let len = Bytes.length r in
-      if off < 0 || off + len > Page.size then
-        invalid_arg "Wal.encode_entry: range outside the page";
-      Page.set_u16 b !pos off;
-      Page.set_u16 b (!pos + 2) len;
-      Bytes.blit r 0 b (!pos + range_header) len;
-      pos := !pos + range_header + len)
-    rs;
-  Page.set_u32 b body (Page.checksum_update 0 b ~pos:0 ~len:body);
-  b
+  let kind, len =
+    match e with
+    | Begin _ -> (1, 4)
+    | Before (_, _, rs) -> (2, 8 + payload_length rs)
+    | After (_, _, rs) -> (3, 8 + payload_length rs)
+    | Commit _ -> (4, 4)
+    | Checkpoint -> (5, 0)
+  in
+  Frame_codec.write ~magic:entry_magic ~kind ~len write_body e
+
+let entry_of data ~kind ~body ~len ~stop =
+  let with_ranges k =
+    Option.map
+      (k (Page.get_u32 data body) (Page.get_u32 data (body + 4)))
+      (decode_ranges data (body + 8) stop)
+  in
+  match kind with
+  | 1 when len = 4 -> Some (Begin (Page.get_u32 data body))
+  | 2 when len >= 8 -> with_ranges (fun t p rs -> Before (t, p, rs))
+  | 3 when len >= 8 -> with_ranges (fun t p rs -> After (t, p, rs))
+  | 4 when len = 4 -> Some (Commit (Page.get_u32 data body))
+  | 5 when len = 0 -> Some Checkpoint
+  | _ -> None
 
 (* Decode the clean prefix of [data.(0 .. len)]: entries plus the byte
-   offset where decoding stopped; [pos < len] means a torn or garbled
-   tail. *)
+   offset where decoding stopped, at the first short or bad frame;
+   [pos < len] means a torn or garbled tail. *)
 let decode_prefix data len =
-  let entries = ref [] in
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok && !pos + header_bytes + 4 <= len do
-    let hdr = !pos in
-    if Page.get_u8 data hdr <> entry_magic then ok := false
-    else begin
-      let kind = Page.get_u8 data (hdr + 1) in
-      let txn = Page.get_u32 data (hdr + 2) in
-      let page = Page.get_u32 data (hdr + 6) in
-      let plen = Page.get_u32 data (hdr + 10) in
-      let body = header_bytes + plen in
-      if hdr + body + 4 > len then ok := false
-      else if
-        Page.get_u32 data (hdr + body)
-        <> Page.checksum_update 0 data ~pos:hdr ~len:body
-      then ok := false
-      else
-        let with_ranges k =
-          Option.map k (decode_ranges data (hdr + header_bytes) plen)
-        in
-        let entry =
-          match kind with
-          | 1 when plen = 0 -> Some (Begin txn)
-          | 2 -> with_ranges (fun rs -> Before (txn, page, rs))
-          | 3 -> with_ranges (fun rs -> After (txn, page, rs))
-          | 4 when plen = 0 -> Some (Commit txn)
-          | 5 when plen = 0 -> Some Checkpoint
-          | _ -> None
-        in
-        match entry with
-        | Some e ->
-          entries := e :: !entries;
-          pos := hdr + body + 4
-        | None -> ok := false
-    end
-  done;
-  (List.rev !entries, !pos)
+  let rec go pos acc =
+    match
+      Frame_codec.check ~magic:entry_magic ~kinds:(fun k -> k >= 1 && k <= 5)
+        ~max:max_int data ~off:pos ~len:(len - pos)
+    with
+    | Frame_codec.Frame { kind; body; len = blen; stop } -> (
+      match entry_of data ~kind ~body ~len:blen ~stop with
+      | Some e -> go stop (e :: acc)
+      | None -> (List.rev acc, pos))
+    | Frame_codec.Short | Frame_codec.Bad _ -> (List.rev acc, pos)
+  in
+  go 0 []
 
 let decode_entries b =
   let entries, pos = decode_prefix b (Bytes.length b) in

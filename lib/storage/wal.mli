@@ -17,12 +17,13 @@
     - [Checkpoint] states that all committed work has reached the main
       file, allowing log truncation.
 
-    A record is a 14-byte header ({!entry_magic}, kind, txn, page,
-    payload length), the payload, and a CRC-32 ({!Page.checksum}) over
-    header and payload.  An [After]/[Before] payload is its ranges back
-    to back, each a u16 page offset, a u16 length and the bytes.
-    {!read_all} stops cleanly at a torn or corrupt tail, which is what
-    makes crash-recovery tests meaningful. *)
+    A record is one {!Frame_codec} frame with magic {!entry_magic}.  Its
+    body is the txn (u32), then for [Before]/[After] the page (u32) and
+    the ranges back to back, each a u16 page offset, a u16 length and
+    the bytes: 14 bytes of overhead for [Begin]/[Commit], 18 for a range
+    record.  {!read_all} stops cleanly at the first short or bad frame,
+    a torn or corrupt tail, which is what makes crash-recovery tests
+    meaningful. *)
 
 type range = int * bytes
 (** A page offset and the bytes found there. *)
@@ -35,8 +36,8 @@ type entry =
   | Checkpoint
 
 val entry_magic : int
-(** First byte of every record ([0xA9]).  A log whose first record
-    carries an earlier format's magic ([0xA7], [0xA8]) is refused with
+(** First byte of every record ([0xAA]).  A log whose first record
+    carries an earlier format's magic ([0xA7]-[0xA9]) is refused with
     {!Storage_error.Unsupported_format} by {!open_} and {!scan}. *)
 
 val diff : bytes -> bytes -> (int * int) list
@@ -76,8 +77,8 @@ val set_on_append : t -> (int -> entry -> bytes -> unit) option -> unit
     most one observer; [None] detaches. *)
 
 val encode_entry : entry -> bytes
-(** Wire/on-disk image of one record: header, payload and the record
-    CRC — the exact bytes {!append} buffers.  Shipped replication
+(** Wire/on-disk image of one record: its frame — the exact bytes
+    {!append} buffers.  Shipped replication
     frames carry these verbatim so the per-record checksum travels. *)
 
 val decode_entries : bytes -> entry list * bool

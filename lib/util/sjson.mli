@@ -1,5 +1,5 @@
 (** Minimal JSON writer for the tools' machine-readable reports
-    ([hyperbench run --json], [hyperload --json], [hyperlint --json])
+    ([hyperbench run --json], [hyperlint --json])
     without an external dependency.
 
     Numbers are floats throughout (the usual JSON compromise). *)

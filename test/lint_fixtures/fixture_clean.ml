@@ -58,7 +58,14 @@ let polite () =
   Thread.delay 0.001;
   snapshot
 
-(* Checksums come from the one CRC-32 kernel; a local name is fine. *)
+(* A message is framed, and checksummed, by the one frame codec; a
+   local name for the CRC it stamped is fine. *)
 let frame_crc body =
-  let crc = Hyper_storage.Page.checksum body in
-  crc land 0xFFFFFFFF
+  let frame =
+    Hyper_storage.Frame_codec.write ~magic:0xEE ~kind:1
+      ~len:(Bytes.length body)
+      (fun body b off -> Bytes.blit body 0 b off (Bytes.length body))
+      body
+  in
+  let crc = Bytes.get_int32_le frame 6 in
+  crc

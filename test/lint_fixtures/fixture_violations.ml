@@ -71,3 +71,7 @@ let chain_variants (chains : (Oid.t * string, int) Hashtbl.t) (key : Oid.t) =
 (* one-checksum: a second checksum kernel beside Page.checksum. *)
 let checksum b =
   Bytes.fold_left (fun h c -> (h * 33) + Char.code c) 5381 b
+
+(* one-checksum: a codec checksumming its own frames beside the codec. *)
+let frame_crc body =
+  Hyper_storage.Page.checksum_update 0 body ~pos:0 ~len:(Bytes.length body)

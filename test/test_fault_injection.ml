@@ -259,14 +259,16 @@ let test_checksum_detects_corruption () =
 (* --- torn WAL tails exactly on entry boundaries --- *)
 
 let wal_entry_bytes e =
-  (* header + ranges (4-byte range header + bytes each) + crc, mirroring
-     the on-disk framing *)
-  let ranges =
+  (* frame header + txn [+ page + ranges (4-byte range header + bytes
+     each)], mirroring the on-disk framing *)
+  let body =
     match e with
-    | Wal.Before (_, _, rs) | Wal.After (_, _, rs) -> rs
-    | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> []
+    | Wal.Before (_, _, rs) | Wal.After (_, _, rs) ->
+      8 + List.fold_left (fun a (_, b) -> a + 4 + Bytes.length b) 0 rs
+    | Wal.Begin _ | Wal.Commit _ -> 4
+    | Wal.Checkpoint -> 0
   in
-  14 + List.fold_left (fun a (_, b) -> a + 4 + Bytes.length b) 0 ranges + 4
+  Hyper_storage.Frame_codec.header_bytes + body
 
 let test_torn_tail_on_entry_boundary () =
   let path = temp_path "tornwal" in

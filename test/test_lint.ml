@@ -49,6 +49,7 @@ let expected_violations =
     ("no-blocking-under-mutex", 59);
     ("no-poly-compare-on-oid", 68);
     ("one-checksum", 72);
+    ("one-checksum", 77);
   ]
 
 let test_violations () =

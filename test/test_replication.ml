@@ -21,6 +21,7 @@ open Hyper_check
 module Vfs = Hyper_storage.Vfs
 module Wal = Hyper_storage.Wal
 module Page = Hyper_storage.Page
+module Frame_codec = Hyper_storage.Frame_codec
 module Storage_error = Hyper_storage.Storage_error
 module D = Hyper_diskdb.Diskdb
 module Link = Hyper_net.Channel.Link
@@ -143,10 +144,11 @@ let test_frame_collision () =
   let b =
     Frame.encode (Frame.Append { epoch = 1; base_lsn = 0; payload = record })
   in
-  (* Frame header: magic, tag, epoch, base_lsn, payload length (14
-     bytes); then the record's 14-byte header and its 4-byte range
-     header; then the range's bytes. *)
-  let i = 14 + 14 + 4 + 20 in
+  (* The message's frame header, its epoch and base_lsn; then the
+     record's frame header, txn, page and 4-byte range header; then the
+     range's bytes. *)
+  let record_off = Frame_codec.header_bytes + 8 in
+  let i = record_off + Frame_codec.header_bytes + 8 + 4 + 20 in
   let plant b i =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) + 1));
     Bytes.set b (i + 1) (Char.chr (Char.code (Bytes.get b (i + 1)) - 33))
@@ -155,7 +157,7 @@ let test_frame_collision () =
   check Alcotest.bool "compensated double-byte change rejected" true
     (Frame.decode b = None);
   (* The record's own CRC catches the same change in the range. *)
-  plant record (i - 14);
+  plant record (i - record_off);
   check Alcotest.bool "garbled range record dropped" true
     (Wal.decode_entries record = ([], true))
 

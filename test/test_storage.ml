@@ -806,9 +806,11 @@ let test_wal_collision_not_redone () =
       Wal.append wal (Wal.Commit 1);
       Wal.flush wal;
       Wal.close wal;
-      (* Begin is 18 bytes; the range's bytes start after the After's
-         14-byte header and the 4-byte range header. *)
-      let i = 18 + 14 + 4 + 100 in
+      (* Begin is a frame header and the txn; the range's bytes start
+         after the After's frame header, txn, page and 4-byte range
+         header. *)
+      let begin_bytes = Frame_codec.header_bytes + 4 in
+      let i = begin_bytes + Frame_codec.header_bytes + 8 + 4 + 100 in
       let fd = Unix.openfile wal_path [ Unix.O_RDWR ] 0 in
       let plant off c =
         ignore (Unix.lseek fd off Unix.SEEK_SET);
@@ -820,7 +822,7 @@ let test_wal_collision_not_redone () =
       let scan = Wal.scan wal_path in
       check Alcotest.int "scan stops before the garbled After" 1
         (List.length scan.Wal.entries);
-      check Alcotest.int "clean prefix is the Begin record" 18
+      check Alcotest.int "clean prefix is the Begin record" begin_bytes
         scan.Wal.clean_bytes;
       check Alcotest.bool "torn" true scan.Wal.torn;
       let report = Recovery.recover ~wal_path pager in
@@ -888,6 +890,17 @@ let test_wal_page_image_format_refused () =
   Page.set_u32 b 14 (Page.checksum_update 0 b ~pos:0 ~len:14);
   refused_at_open ~magic:0xA8 b
 
+(* The byte-range format before the shared frame codec (magic 0xA9):
+   its own 14-byte header (magic, kind, txn, page, payload length) and
+   a trailing CRC-32. *)
+let test_wal_own_header_format_refused () =
+  let b = Bytes.make 18 '\000' in
+  Page.set_u8 b 0 0xA9;
+  Page.set_u8 b 1 1;
+  Page.set_u32 b 2 1;
+  Page.set_u32 b 14 (Page.checksum_update 0 b ~pos:0 ~len:14);
+  refused_at_open ~magic:0xA9 b
+
 (* Random page pairs: [cur] is [old] with random spans overwritten
    (sometimes by the bytes already there).  The diff's spans are
    ordered, disjoint, separated by more than a range header and cover
@@ -945,6 +958,193 @@ let prop_ranges =
       && Bytes.equal (patched cur undo) old
       && (spans = []) = Bytes.equal old cur
       && Wal.decode_entries (Wal.encode_entry record) = ([ record ], false))
+
+(* One property over the one frame decoder, on frames of all three
+   streams: a WAL record, a replication message, and a wire request and
+   response.  Each comes with its stream's own decoder. *)
+module Wire = Hyper_net.Wire
+module Repl_frame = Hyper_repl.Frame
+
+type stream = {
+  name : string;
+  frame : bytes;
+  decodes : bytes -> [ `Whole | `Nothing | `Other ];
+      (* the stream's own decoder on a buffer holding one frame *)
+  wire_side : [ `Request | `Response ] option;
+}
+
+let wire_decode dec frame b =
+  let d = dec () in
+  Wire.Decoder.feed d b ~off:0 ~len:(Bytes.length b);
+  match Wire.Decoder.next d with
+  | Some (Ok v) -> if v = frame then `Whole else `Other
+  | Some (Error _) | None -> `Nothing
+
+let gen_stream =
+  let open QCheck.Gen in
+  let blob = map Bytes.of_string (string_size (int_range 0 40)) in
+  let small = int_range 0 100_000 in
+  let wal =
+    let range =
+      let* off = int_range 0 (Page.size - 40) in
+      let* b = blob in
+      return (off, b)
+    in
+    let* e =
+      oneof
+        [ map (fun t -> Wal.Begin t) small; map (fun t -> Wal.Commit t) small;
+          return Wal.Checkpoint;
+          map3 (fun t p rs -> Wal.After (t, p, rs)) small small
+            (list_size (int_range 0 3) range);
+          map3 (fun t p rs -> Wal.Before (t, p, rs)) small small
+            (list_size (int_range 0 3) range) ]
+    in
+    return
+      { name = "wal " ^ Wal.entry_to_string e; frame = Wal.encode_entry e;
+        decodes =
+          (fun b ->
+            match Wal.decode_entries b with
+            | [ e' ], false -> if e' = e then `Whole else `Other
+            | [], _ -> `Nothing
+            | _ -> `Other);
+        wire_side = None }
+  in
+  let repl =
+    let* epoch = small and* lsn = small and* payload = blob in
+    let* f =
+      oneofl
+        [ Repl_frame.Append { epoch; base_lsn = lsn; payload };
+          Repl_frame.Heartbeat { epoch; commit_lsn = lsn };
+          Repl_frame.Snapshot
+            { epoch; lsn; commits = 2; files = [ ("data", payload); ("sum", Bytes.empty) ] };
+          Repl_frame.Ack { epoch; lsn }; Repl_frame.Nak { epoch; lsn };
+          Repl_frame.Fence { epoch } ]
+    in
+    return
+      { name = "repl " ^ Repl_frame.to_string f; frame = Repl_frame.encode f;
+        decodes =
+          (fun b ->
+            match Repl_frame.decode b with
+            | Some f' -> if f' = f then `Whole else `Other
+            | None -> `Nothing);
+        wire_side = None }
+  in
+  let request =
+    let* rid = small and* s = string_size (int_range 0 20) in
+    let* r =
+      oneofl
+        [ Wire.Ping { rid }; Wire.Hello { client = s; protocol = Wire.protocol_version };
+          Wire.Ops { rid; ops = [ Hyper_core.Trace.Begin; Hyper_core.Trace.Doc_oids rid ] };
+          Wire.Snapshot { rid; active = true }; Wire.Bye ]
+    in
+    return
+      { name = "request"; frame = Wire.encode_request r;
+        decodes = wire_decode (Wire.Decoder.create_request ?max_frame:None) r;
+        wire_side = Some `Request }
+  in
+  let response =
+    let* rid = small and* s = string_size (int_range 0 20) in
+    let* r =
+      oneofl
+        [ Wire.Pong { rid };
+          Wire.Results
+            { rid; outcomes = [ Hyper_core.Trace.Done (Hyper_core.Trace.V_ints [ rid; 1 ]);
+                                Hyper_core.Trace.Raised s ] };
+          Wire.Fault { rid; code = Wire.F_bad_op; message = s };
+          Wire.Welcome { session = rid; server = s; protocol = Wire.protocol_version } ]
+    in
+    return
+      { name = "response"; frame = Wire.encode_response r;
+        decodes = wire_decode (Wire.Decoder.create_response ?max_frame:None) r;
+        wire_side = Some `Response }
+  in
+  oneof [ wal; repl; request; response ]
+
+(* A wire body whose inner count overruns it, followed in the decoder's
+   buffer by the valid frame [next]: the decoder must fail [Malformed],
+   because it parses the body in place bounded by the body's own length,
+   not the buffer's.  The short Ping body is the case a buffer-bounded
+   parse would get wrong: the next frame's bytes would complete its
+   rid. *)
+let overrun_is_malformed side next =
+  let magic = Bytes.get_uint8 next 0 in
+  let bad kind body =
+    Frame_codec.write ~magic ~kind ~len:(Bytes.length body)
+      (fun body b off -> Bytes.blit body 0 b off (Bytes.length body))
+      body
+  in
+  let decode dec frame =
+    let both = Bytes.cat frame next in
+    Wire.Decoder.feed dec both ~off:0 ~len:(Bytes.length both);
+    match Wire.Decoder.next dec with
+    | Some (Error (Wire.Malformed _)) -> true
+    | Some (Error _ | Ok _) | None -> false
+  in
+  match side with
+  | `Request ->
+    (* Ping with a 5-byte rid; Ops claiming 2 ops and holding none *)
+    let ops = Bytes.create 16 in
+    Bytes.set_int64_le ops 0 1L;
+    Bytes.set_int64_le ops 8 2L;
+    decode (Wire.Decoder.create_request ()) (bad 3 (Bytes.make 5 '\001'))
+    && decode (Wire.Decoder.create_request ()) (bad 2 ops)
+  | `Response ->
+    (* Results claiming 3 outcomes and holding 1 *)
+    let results = Bytes.make 18 '\000' in
+    Bytes.set_int64_le results 8 3L;
+    decode (Wire.Decoder.create_response ()) (bad 130 results)
+
+let prop_one_decoder =
+  QCheck.Test.make
+    ~name:"one frame decoder: splits, flips, lying lengths, overruns"
+    ~count:200
+    (QCheck.make ~print:(fun s -> s.name) gen_stream)
+    (fun s ->
+      let f = s.frame in
+      let n = Bytes.length f in
+      let max = 1 lsl 20 in
+      let check b len =
+        Frame_codec.check ~magic:(Bytes.get_uint8 f 0)
+          ~kinds:(fun k -> k = Bytes.get_uint8 f 1) ~max b ~off:0 ~len
+      in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      (match check f n with
+      | Frame_codec.Frame { stop; _ } when stop = n -> ()
+      | _ -> fail "the whole frame does not check");
+      if s.decodes f <> `Whole then fail "the stream does not decode its frame";
+      (* Every split point: short, and the stream's decoder has nothing. *)
+      for cut = 0 to n - 1 do
+        if check f cut <> Frame_codec.Short then fail "prefix of %d not short" cut;
+        if s.decodes (Bytes.sub f 0 cut) <> `Nothing then
+          fail "prefix of %d decoded" cut
+      done;
+      (* Every single-bit flip: a typed error or short, never a frame. *)
+      for bit = 0 to (8 * n) - 1 do
+        let g = Bytes.copy f in
+        Bytes.set_uint8 g (bit / 8) (Bytes.get_uint8 g (bit / 8) lxor (1 lsl (bit mod 8)));
+        (match check g n with
+        | Frame_codec.Bad _ | Frame_codec.Short -> ()
+        | Frame_codec.Frame _ -> fail "bit %d flipped still checks" bit);
+        if s.decodes g <> `Nothing then fail "bit %d flipped still decodes" bit
+      done;
+      (* A length longer than the body: oversized past the cap, else
+         short. *)
+      List.iter
+        (fun lie ->
+          let g = Bytes.copy f in
+          Page.set_u32 g 2 lie;
+          match check g n with
+          | Frame_codec.Bad (Frame_codec.Oversized { length; limit })
+            when length = lie && limit = max && lie > max -> ()
+          | Frame_codec.Short when lie <= max -> ()
+          | _ -> fail "length %d did not read oversized or short" lie)
+        [ n - Frame_codec.header_bytes + 1; max; max + 1; 0xFFFFFFFF ];
+      (match s.wire_side with
+      | Some side ->
+        if not (overrun_is_malformed side f) then
+          fail "an overrunning body before this frame was not malformed"
+      | None -> ());
+      true)
 
 let test_wal_missing_file () =
   check Alcotest.int "missing file is empty log" 0
@@ -1135,7 +1335,13 @@ let () =
             test_wal_old_format_refused;
           Alcotest.test_case "page-image format refused at open" `Quick
             test_wal_page_image_format_refused;
+          Alcotest.test_case "own-header format refused at open" `Quick
+            test_wal_own_header_format_refused;
           qtest prop_ranges;
+        ] );
+      ( "frame",
+        [
+          qtest prop_one_decoder;
         ] );
       ( "recovery",
         [

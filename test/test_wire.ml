@@ -5,6 +5,7 @@
 
 open Hyper_core
 open Hyper_net
+module Frame_codec = Hyper_storage.Frame_codec
 
 let check = Alcotest.check
 
@@ -210,7 +211,7 @@ let test_feed_buffer_reuse () =
 let test_crc_corruption () =
   let frame = Wire.encode_request (Wire.Ping { rid = 5 }) in
   (* flip one bit in the body *)
-  let body_off = 12 in
+  let body_off = Frame_codec.header_bytes in
   Bytes.set_uint8 frame body_off (Bytes.get_uint8 frame body_off lxor 1);
   let dec = Wire.Decoder.create_request () in
   feed_all dec frame;
@@ -234,14 +235,20 @@ let test_bad_magic_version_kind () =
   (match mangle (fun b -> Bytes.set b 0 'X') with
   | Wire.Bad_magic _ -> ()
   | e -> Alcotest.failf "expected Bad_magic, got %s" (Wire.error_to_string e));
-  (match mangle (fun b -> Bytes.set_uint8 b 2 250) with
-  | Wire.Bad_version 250 -> ()
-  | e -> Alcotest.failf "expected Bad_version, got %s" (Wire.error_to_string e));
-  (match mangle (fun b -> Bytes.set_uint8 b 3 77) with
+  (* The protocol version lives in the magic: a protocol-1 frame ("HM",
+     version 1, kind, length, body CRC) fails it. *)
+  (match
+     mangle (fun b ->
+         Bytes.blit_string "HM\001\003" 0 b 0 4)
+   with
+  | Wire.Bad_magic m when m = Char.code 'H' -> ()
+  | e -> Alcotest.failf "expected Bad_magic 'H', got %s" (Wire.error_to_string e));
+  let kind_off = 1 in
+  (match mangle (fun b -> Bytes.set_uint8 b kind_off 77) with
   | Wire.Unknown_kind 77 -> ()
   | e -> Alcotest.failf "expected Unknown_kind, got %s" (Wire.error_to_string e));
   (* a response kind on the request side is equally unknown *)
-  match mangle (fun b -> Bytes.set_uint8 b 3 130) with
+  match mangle (fun b -> Bytes.set_uint8 b kind_off 130) with
   | Wire.Unknown_kind 130 -> ()
   | e ->
     Alcotest.failf "expected Unknown_kind 130, got %s" (Wire.error_to_string e)
@@ -257,17 +264,12 @@ let test_oversized_rejection () =
 let test_truncated_body_is_malformed () =
   (* A frame whose CRC passes but whose body lies about its lengths:
      declare a string longer than the body. *)
-  let buf = Buffer.create 32 in
-  Buffer.add_int64_le buf 1000L (* string length 1000, but no bytes *);
-  let body = Buffer.to_bytes buf in
-  let frame = Bytes.create (12 + Bytes.length body) in
-  Bytes.set frame 0 'H';
-  Bytes.set frame 1 'M';
-  Bytes.set_uint8 frame 2 Wire.protocol_version;
-  Bytes.set_uint8 frame 3 1 (* Hello *);
-  Bytes.set_int32_le frame 4 (Int32.of_int (Bytes.length body));
-  Bytes.set_int32_le frame 8 (Int32.of_int (Hyper_storage.Page.checksum body));
-  Bytes.blit body 0 frame 12 (Bytes.length body);
+  let frame =
+    Frame_codec.write ~magic:(Bytes.get_uint8 (Wire.encode_request Wire.Bye) 0)
+      ~kind:1 (* Hello *) ~len:8
+      (fun n b off -> Bytes.set_int64_le b off n)
+      1000L (* string length 1000, but no bytes *)
+  in
   let dec = Wire.Decoder.create_request () in
   feed_all dec frame;
   match expect_error "truncated body" dec with
@@ -321,17 +323,17 @@ let test_random_corruption_never_crashes =
       true)
 
 let test_outcome_codec_round_trip () =
+  (* One outcome per frame; the decoder fails a body it does not consume
+     exactly. *)
   List.iter
     (fun o ->
-      let buf = Buffer.create 64 in
-      Wire.encode_outcome buf o;
-      let b = Buffer.to_bytes buf in
-      let pos = ref 0 in
-      let o' = Wire.decode_outcome b ~pos in
-      if not (Trace.outcome_equal o o') then
+      let dec = Wire.Decoder.create_response () in
+      feed_all dec (Wire.encode_response (Wire.Results { rid = 1; outcomes = [ o ] }));
+      match expect_frame "outcome" dec with
+      | Wire.Results { outcomes = [ o' ]; _ } when Trace.outcome_equal o o' -> ()
+      | _ ->
         Alcotest.failf "outcome did not round-trip: %s"
-          (Trace.outcome_to_string o);
-      check Alcotest.int "consumed all" (Bytes.length b) !pos)
+          (Trace.outcome_to_string o))
     sample_outcomes
 
 let () =
